@@ -50,6 +50,15 @@ run cargo run --release -p mgd-bench --bin precision_report -- --quick /tmp/BENC
 # reduction, SPD validation, stiffness symmetry, plus one tiny anisotropic
 # train → compare-vs-FEM → certified solve with a recomputed certificate.
 run cargo run --release -p mgd-bench --bin operator_report -- --quick /tmp/BENCH_operators_ci.json
+# Benchmark smoke: the benchmark's own tests, then one short certify-3d
+# run whose result line must report every solve correct and none failed.
+run cargo test --release --manifest-path perfbench/Cargo.toml
+echo "==> bash perfbench/run.sh --workload certify-3d --seed 1 --seconds 2 --trace 0"
+certify_result=$(bash perfbench/run.sh --workload certify-3d --seed 1 --seconds 2 --trace 0 | tail -n 1)
+python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "certify-3d: " + sys.argv[1][:200])' \
+    "$certify_result"
 run cargo bench --no-run --workspace
 
 if [[ "${1:-}" == "bench" ]]; then

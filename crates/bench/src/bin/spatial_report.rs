@@ -211,8 +211,9 @@ fn pool_case(iters: usize) -> Value {
         .collect();
     let opts = SlabOpts::default();
 
-    // Off: rank threads spawned (and torn down) on every request.
-    let spawns0 = mgd_dist::total_rank_spawns();
+    // Off: rank threads spawned (and torn down) on every request — one
+    // per rank of each `launch_with` call.
+    let mut off_spawns = 0u64;
     let t = Instant::now();
     for _ in 0..iters {
         let net = &net;
@@ -222,12 +223,11 @@ fn pool_case(iters: usize) -> Value {
             infer_slab(net, &slab, &comm, &mut ws, opts)
         });
         assert_eq!(outs.len(), p);
+        off_spawns += outs.len() as u64;
     }
     let off_ms = t.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    let off_spawns = mgd_dist::total_rank_spawns() - spawns0;
 
     // On: one persistent pool, workspaces owned by the rank threads.
-    let spawns1 = mgd_dist::total_rank_spawns();
     let mut pool = SlabPool::new((0..p).map(|_| Workspace::new()).collect());
     let slabs = Arc::new(slabs);
     let t = Instant::now();
@@ -241,7 +241,7 @@ fn pool_case(iters: usize) -> Value {
         assert_eq!(outs.len(), p);
     }
     let on_ms = t.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    let on_spawns = mgd_dist::total_rank_spawns() - spawns1;
+    let on_spawns = pool.rank_spawns();
     assert_eq!(
         off_spawns,
         (p * iters) as u64,

@@ -1163,9 +1163,10 @@ impl SolverEngine {
     }
 
     /// Serving statistics so far (engine-lifetime: they accumulate across
-    /// snapshot republishes).
+    /// snapshot republishes), with the published snapshot's prepack counts
+    /// (see [`EngineSnapshot::stats`]).
     pub fn stats(&self) -> ServeStats {
-        self.stats.snapshot()
+        self.cell.load().stats()
     }
 
     /// The numeric policy the engine serves at.

@@ -45,7 +45,7 @@ use mgd_hybrid::{
     solve_certified, CertifiedSolution, CertifyOptions, ErasedHierarchy, ErasedSystem, StallPolicy,
     StrategyKind, Surrogate,
 };
-use mgd_nn::{InferModel, Model, SlabModel, SlabOpts, Workspace};
+use mgd_nn::{InferModel, Model, PrepackStats, SlabModel, SlabOpts, Workspace};
 use mgd_tensor::{Element, Precision, Tensor};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,6 +228,7 @@ pub struct SharedServeStats {
     workspace_pool_misses: AtomicU64,
     slab_pool_hits: AtomicU64,
     slab_pool_misses: AtomicU64,
+    rank_spawns: AtomicU64,
 }
 
 impl SharedServeStats {
@@ -243,6 +244,9 @@ impl SharedServeStats {
             workspace_pool_misses: self.workspace_pool_misses.load(Ordering::Relaxed),
             slab_pool_hits: self.slab_pool_hits.load(Ordering::Relaxed),
             slab_pool_misses: self.slab_pool_misses.load(Ordering::Relaxed),
+            rank_spawns: self.rank_spawns.load(Ordering::Relaxed),
+            prepack_builds: 0,
+            prepack_reuses: 0,
         }
     }
 }
@@ -274,6 +278,15 @@ pub struct ServeStats {
     /// concurrent spatial predictions than ever before — one pool is
     /// spawned eagerly when the snapshot is published).
     pub slab_pool_misses: u64,
+    /// Rank threads spawned for spatial serving: the persistent pools'
+    /// workers plus the per-request ranks of the replica fallback.
+    pub rank_spawns: u64,
+    /// Weight-panel packs built by the snapshot's slab model (its one-time
+    /// prepack). Unlike the other fields this belongs to one snapshot.
+    pub prepack_builds: u64,
+    /// Slab-model inference calls that reused the prepacked panels (per
+    /// snapshot, like `prepack_builds`).
+    pub prepack_reuses: u64,
 }
 
 /// Point-in-time statistics of one cache shard.
@@ -637,8 +650,13 @@ struct SpatialServe {
 }
 
 impl SpatialServe {
-    fn new_pool(&self) -> SlabPool<RankState> {
-        SlabPool::new((0..self.ranks).map(|_| RankState::default()).collect())
+    /// Spawns a persistent rank pool (its threads counted on `stats`).
+    fn new_pool(&self, stats: &SharedServeStats) -> SlabPool<RankState> {
+        let pool = SlabPool::new((0..self.ranks).map(|_| RankState::default()).collect());
+        stats
+            .rank_spawns
+            .fetch_add(pool.rank_spawns(), Ordering::Relaxed);
+        pool
     }
 
     /// Pops a persistent rank pool, or spawns a fresh one if every pool is
@@ -652,7 +670,7 @@ impl SpatialServe {
             }
             None => {
                 stats.slab_pool_misses.fetch_add(1, Ordering::Relaxed);
-                self.new_pool()
+                self.new_pool(stats)
             }
         }
     }
@@ -853,7 +871,7 @@ impl EngineSnapshot {
             if sp.weights.is_some() {
                 // Spawn the persistent rank fleet once at publish time so
                 // the first predict is already a pool hit.
-                let pool = sp.new_pool();
+                let pool = sp.new_pool(&cfg.stats);
                 sp.pools.lock().expect("slab pools poisoned").push(pool);
             }
             sp
@@ -955,8 +973,20 @@ impl EngineSnapshot {
 
     /// Engine-lifetime serving counters (shared across snapshot
     /// generations).
+    ///
+    /// The prepack fields are this snapshot's own: its slab model's panel
+    /// packs and reuses.
     pub fn stats(&self) -> ServeStats {
-        self.stats.snapshot()
+        let prepack = match self.spatial.as_ref().and_then(|sp| sp.weights.as_ref()) {
+            Some(SlabWeights::F64(m)) => m.prepack_stats(),
+            Some(SlabWeights::F32(m)) => m.prepack_stats(),
+            None => PrepackStats::default(),
+        };
+        ServeStats {
+            prepack_builds: prepack.builds,
+            prepack_reuses: prepack.reuses,
+            ..self.stats.snapshot()
+        }
     }
 
     /// Predicts the solution field for one raw coefficient field ν shaped
@@ -1376,6 +1406,9 @@ impl EngineSnapshot {
                 (replica, Tensor::from_vec(sdims, data))
             })
             .collect();
+        self.stats
+            .rank_spawns
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
         let results = launch_with(jobs, |comm, (mut replica, slab)| {
             let out = replica.predict_slab(&slab, &comm);
             (replica, out)

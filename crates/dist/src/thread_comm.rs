@@ -336,7 +336,6 @@ where
             .zip(payloads)
             .map(|(comm, payload)| {
                 let guard_shared = Arc::clone(&shared);
-                crate::pool::note_rank_spawn();
                 s.spawn(move || {
                     let _guard = PanicGuard(guard_shared);
                     f(comm, payload)

@@ -19,10 +19,10 @@
 //! the (non-nested, approximate) coarse corrections being accurate.
 
 use crate::bc::Dirichlet;
-use crate::cg::{solve_cg_rhs_op, CgOptions};
+use crate::cg::CgOptions;
 use crate::error::FemError;
 use crate::grid::Grid;
-use crate::pcg::Precond;
+use crate::pcg::{JacobiPrecond, PcgStep, PcgWorkspace, Precond};
 use crate::pde::PdeOperator;
 use crate::system::PoissonSystem;
 
@@ -121,19 +121,22 @@ impl<const D: usize> GridHierarchy<D> {
                 requirement: "every axis needs at least 2 nodes",
             });
         }
+        let finest = PoissonSystem::with_operator(grid, op, nu.to_vec(), bc.clone())?;
+        Self::from_finest(finest, opts)
+    }
+
+    /// Builds the coarse levels below an already assembled finest system
+    /// (taken as level 0 as is, so its stencil is not assembled twice).
+    pub fn from_finest(finest: PoissonSystem<D>, opts: HierarchyOptions) -> Result<Self, FemError> {
+        let op = finest.op;
         let ncomp = op.ncomp(D);
-        let mut levels = Vec::new();
+        let mut levels = vec![finest];
         let mut c2f = Vec::new();
         let mut f2c = Vec::new();
-        let mut g = grid;
-        let mut nu_l = nu.to_vec();
-        let mut bc_l = bc.clone();
         loop {
-            let stop = levels.len() + 1 >= opts.max_levels
-                || g.n.iter().any(|&m| m <= opts.coarse_n.max(2));
-            let sys = PoissonSystem::with_operator(g, op, nu_l.clone(), bc_l.clone())?;
-            levels.push(sys);
-            if stop {
+            let fine = levels.last().expect("finest level");
+            let g = fine.grid;
+            if levels.len() >= opts.max_levels || g.n.iter().any(|&m| m <= opts.coarse_n.max(2)) {
                 break;
             }
             // Coarsen n -> (n+1)/2 per axis (n even halves; n odd nests).
@@ -168,23 +171,22 @@ impl<const D: usize> GridHierarchy<D> {
                     }
                     let fi = g.node(fm);
                     for (c, a) in acc.iter_mut().enumerate().take(ncomp) {
-                        *a += w * nu_l[c * fnn + fi];
+                        *a += w * fine.nu[c * fnn + fi];
                     }
-                    all_fixed &= bc_l.fixed[fi];
+                    all_fixed &= fine.bc.fixed[fi];
                 }
                 for (c, a) in acc.iter().enumerate().take(ncomp) {
                     cnu[c * cnn + ci] = *a;
                 }
                 cfix[ci] = all_fixed;
             }
-            c2f.push(up);
-            f2c.push(down);
-            g = cg;
-            nu_l = cnu;
-            bc_l = Dirichlet {
-                values: vec![0.0; cfix.len()],
+            let cbc = Dirichlet {
+                values: vec![0.0; cnn],
                 fixed: cfix,
             };
+            levels.push(PoissonSystem::with_operator(cg, op, cnu, cbc)?);
+            c2f.push(up);
+            f2c.push(down);
         }
         Ok(GridHierarchy {
             levels,
@@ -329,23 +331,7 @@ impl<const D: usize> GridHierarchy<D> {
     pub fn v_cycle(&self, l: usize, u: &mut [f64], b: &[f64]) {
         let sys = &self.levels[l];
         if l + 1 == self.levels.len() {
-            // Coarsest: tight CG (only the mask of `bc` is used here, so
-            // the finest level's inhomogeneous values are irrelevant).
-            let (sol, _) = solve_cg_rhs_op(
-                &sys.grid,
-                &sys.basis,
-                sys.op,
-                &sys.nu,
-                &sys.bc,
-                b,
-                u,
-                CgOptions {
-                    tol: self.opts.coarse_tol,
-                    ..Default::default()
-                },
-            );
-            u.copy_from_slice(&sol);
-            sys.mask(u);
+            coarse_solve(sys, b, u, self.opts.coarse_tol);
             return;
         }
         sys.jacobi_smooth(u, b, self.opts.omega, self.opts.pre_smooth);
@@ -362,6 +348,34 @@ impl<const D: usize> GridHierarchy<D> {
     }
 }
 
+/// The coarsest-level solve of the f64 and mixed V-cycles: Jacobi-PCG on
+/// `K u = b` over the level's assembled system, from the iterate in `u`,
+/// to relative tolerance `tol` (absolute floor and iteration cap as in
+/// [`CgOptions::default`]). Only the mask of the level's BC is used, so
+/// the finest level's inhomogeneous values are irrelevant.
+pub(crate) fn coarse_solve<const D: usize>(
+    sys: &PoissonSystem<D>,
+    b: &[f64],
+    u: &mut [f64],
+    tol: f64,
+) {
+    let CgOptions {
+        abs_tol, max_iter, ..
+    } = CgOptions::default();
+    let pre = JacobiPrecond::of(sys);
+    let mut ws = PcgWorkspace::start(sys, &pre, u, b);
+    let r0 = ws.recurrence_residual();
+    if r0 > abs_tol {
+        for _ in 0..max_iter {
+            match ws.step(sys, &pre, u) {
+                PcgStep::Advanced(rn) if rn > tol * r0 && rn > abs_tol => {}
+                _ => break,
+            }
+        }
+    }
+    sys.mask(u);
+}
+
 impl<const D: usize> Precond for GridHierarchy<D> {
     /// `z ≈ K⁻¹ r` via one V-cycle from a zero initial error.
     fn apply(&self, r: &[f64], z: &mut [f64]) {
@@ -374,7 +388,6 @@ impl<const D: usize> Precond for GridHierarchy<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcg::{PcgStep, PcgWorkspace};
 
     fn nu_var<const D: usize>(g: &Grid<D>) -> Vec<f64> {
         (0..g.num_nodes())

@@ -8,6 +8,9 @@
 //!   (bilinear quad / trilinear hex) elements with 2-point Gauss quadrature,
 //!   parallelized with **element coloring** (2^D colors; same-color elements
 //!   share no nodes, so scatter writes are race-free);
+//! - an **assembled half-stencil** of the same `K` (`stencil.rs`) that every
+//!   solver applies as a row gather — see [`system`] for which side uses
+//!   which operator;
 //! - **Jacobi-preconditioned conjugate gradients** and a classical
 //!   **geometric multigrid V-cycle** (damped-Jacobi smoother, full-weighting
 //!   restriction, multilinear prolongation) — the traditional solvers the
@@ -32,6 +35,7 @@ pub mod operator;
 pub mod pcg;
 pub mod pde;
 pub mod solver;
+pub(crate) mod stencil;
 pub mod system;
 
 pub use basis::ElementBasis;

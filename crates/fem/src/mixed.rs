@@ -23,40 +23,32 @@
 //! the *correction* to low relative accuracy.
 //!
 //! [`MixedHierarchy`] demotes each level of a [`GridHierarchy`] once at
-//! construction — stencil inputs (ν, basis tables, inverse diagonals,
-//! transfer weights) are assembled in `f64` and rounded to `f32` a single
-//! time, so per-cycle work touches only `f32` data. Its [`Precond`] impl
-//! scales the incoming residual by its max-norm before demotion (guarding
-//! against underflow once the outer residual drops toward `1e-30`) and
-//! promotes the correction back afterwards.
+//! construction — the assembled stencils, inverse diagonals and transfer
+//! weights are built in `f64` and rounded to `f32` a single time, so
+//! per-cycle work touches only `f32` data. Smoothing and residuals run the
+//! same row-gather kernel as the `f64` levels (`Stencil::apply`), at
+//! `f32`. Its [`Precond`] impl scales the incoming residual by its max-norm
+//! before demotion (guarding against underflow once the outer residual
+//! drops toward `1e-30`) and promotes the correction back afterwards.
 
 use crate::bc::Dirichlet;
-use crate::cg::{solve_cg_rhs_op, CgOptions};
 use crate::error::FemError;
 use crate::grid::Grid;
-use crate::hierarchy::{GridHierarchy, HierarchyOptions};
+use crate::hierarchy::{coarse_solve, GridHierarchy, HierarchyOptions};
 use crate::pcg::Precond;
-use crate::pde::{sym_index, PdeOperator, MAX_NCOMP};
+use crate::pde::PdeOperator;
+use crate::stencil::Stencil;
 use mgd_tensor::F64_DIV_GUARD;
 
 /// Per-node 1D interpolation weights demoted to `f32`.
 type AxisTable32 = Vec<(usize, f32, f32)>;
 
-/// Maximum local nodes (2^D for D ≤ 3), mirroring `crate::operator`.
-const MAX_NL: usize = 8;
-
-/// One level's `f32` stencil data, demoted once from the `f64` system.
-struct Level32 {
-    /// Nodal coefficient block (component-major; scalar ν for Poisson).
-    nu: Vec<f32>,
+/// One level's `f32` operator data, demoted once from the `f64` system.
+struct Level32<const D: usize> {
+    /// The level's assembled stencil, rounded to `f32`.
+    stencil: Stencil<D, f32>,
     /// Masked inverse stiffness diagonal (zero at fixed nodes).
     diag_inv: Vec<f32>,
-    /// Shape values `val[q * nl + l]`.
-    val: Vec<f32>,
-    /// Physical shape gradients `grad[(q * nl + l) * D + c]`.
-    grad: Vec<f32>,
-    /// Quadrature weight × volume scale.
-    w_detj: f32,
 }
 
 /// An `f32` replica of a [`GridHierarchy`]'s smoothing/transfer data,
@@ -64,7 +56,7 @@ struct Level32 {
 /// application (the coarsest level still solves in `f64`).
 pub struct MixedHierarchy<const D: usize> {
     hier: GridHierarchy<D>,
-    levels32: Vec<Level32>,
+    levels32: Vec<Level32<D>>,
     /// `c2f32[l][d]`: demoted prolongation weights of level `l+1 → l`.
     c2f32: Vec<Vec<AxisTable32>>,
 }
@@ -76,11 +68,8 @@ impl<const D: usize> MixedHierarchy<D> {
             .levels
             .iter()
             .map(|sys| Level32 {
-                nu: sys.nu.iter().map(|&v| v as f32).collect(),
+                stencil: sys.stencil().to_element(),
                 diag_inv: sys.diag_inv().iter().map(|&v| v as f32).collect(),
-                val: sys.basis.val.iter().map(|&v| v as f32).collect(),
-                grad: sys.basis.grad.iter().map(|&v| v as f32).collect(),
-                w_detj: sys.basis.w_detj as f32,
             })
             .collect();
         let c2f32 = hier
@@ -144,141 +133,23 @@ impl<const D: usize> MixedHierarchy<D> {
         }
     }
 
-    /// `out = K(ν) u` at level `l`, entirely in `f32` (sequential: the
-    /// mixed path targets per-core throughput; cross-core parallelism
-    /// comes from serving many solves concurrently). Dispatches on the
-    /// level's [`PdeOperator`]; the `Poisson` arm is the historical kernel
-    /// untouched.
-    fn apply32(&self, l: usize, u: &[f32], out: &mut [f32]) {
-        let sys = &self.hier.levels[l];
-        match sys.op {
-            PdeOperator::Poisson => self.apply32_scalar(l, u, out),
-            PdeOperator::AnisoDiffusion => self.apply32_tensor(l, u, out),
-        }
-    }
-
-    fn apply32_scalar(&self, l: usize, u: &[f32], out: &mut [f32]) {
-        let sys = &self.hier.levels[l];
-        let lv = &self.levels32[l];
-        let grid = &sys.grid;
-        let nl = sys.basis.nl;
-        let nq = sys.basis.nq;
-        let strides = grid.strides();
-        out.iter_mut().for_each(|x| *x = 0.0);
-        for e in 0..grid.num_elements() {
-            let el = grid.element_multi(e);
-            let base = grid.element_base(el);
-            let mut nu_l = [0.0f32; MAX_NL];
-            let mut u_l = [0.0f32; MAX_NL];
-            let mut acc = [0.0f32; MAX_NL];
-            for i in 0..nl {
-                let gi = base + grid.local_offset(&strides, i);
-                nu_l[i] = lv.nu[gi];
-                u_l[i] = u[gi];
-            }
-            for q in 0..nq {
-                let vrow = &lv.val[q * nl..(q + 1) * nl];
-                let mut nu_q = 0.0f32;
-                let mut gu = [0.0f32; D];
-                for i in 0..nl {
-                    nu_q += vrow[i] * nu_l[i];
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    for c in 0..D {
-                        gu[c] += grow[c] * u_l[i];
-                    }
-                }
-                let s = lv.w_detj * nu_q;
-                for i in 0..nl {
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    let mut dot = 0.0f32;
-                    for c in 0..D {
-                        dot += gu[c] * grow[c];
-                    }
-                    acc[i] += s * dot;
-                }
-            }
-            for i in 0..nl {
-                out[base + grid.local_offset(&strides, i)] += acc[i];
-            }
-        }
-    }
-
-    /// Tensor-coefficient variant: `lv.nu` holds `ncomp` component-major
-    /// planes demoted from the rediscretized coarse tensors.
-    fn apply32_tensor(&self, l: usize, u: &[f32], out: &mut [f32]) {
-        let sys = &self.hier.levels[l];
-        let lv = &self.levels32[l];
-        let grid = &sys.grid;
-        let nl = sys.basis.nl;
-        let nq = sys.basis.nq;
-        let nn = grid.num_nodes();
-        let nc = sys.op.ncomp(D);
-        let strides = grid.strides();
-        out.iter_mut().for_each(|x| *x = 0.0);
-        for e in 0..grid.num_elements() {
-            let el = grid.element_multi(e);
-            let base = grid.element_base(el);
-            let mut t_l = [[0.0f32; MAX_NL]; MAX_NCOMP];
-            let mut u_l = [0.0f32; MAX_NL];
-            let mut acc = [0.0f32; MAX_NL];
-            for i in 0..nl {
-                let gi = base + grid.local_offset(&strides, i);
-                for (c, plane) in t_l.iter_mut().enumerate().take(nc) {
-                    plane[i] = lv.nu[c * nn + gi];
-                }
-                u_l[i] = u[gi];
-            }
-            for q in 0..nq {
-                let vrow = &lv.val[q * nl..(q + 1) * nl];
-                let mut t_q = [0.0f32; MAX_NCOMP];
-                let mut gu = [0.0f32; D];
-                for i in 0..nl {
-                    for (c, plane) in t_l.iter().enumerate().take(nc) {
-                        t_q[c] += vrow[i] * plane[i];
-                    }
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    for c in 0..D {
-                        gu[c] += grow[c] * u_l[i];
-                    }
-                }
-                let mut flux = [0.0f32; D];
-                for (a, fx) in flux.iter_mut().enumerate() {
-                    for b in 0..D {
-                        *fx += t_q[sym_index(D, a, b)] * gu[b];
-                    }
-                }
-                for i in 0..nl {
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    let mut dot = 0.0f32;
-                    for c in 0..D {
-                        dot += flux[c] * grow[c];
-                    }
-                    acc[i] += lv.w_detj * dot;
-                }
-            }
-            for i in 0..nl {
-                out[base + grid.local_offset(&strides, i)] += acc[i];
-            }
-        }
-    }
-
     /// `sweeps` damped-Jacobi sweeps on `K u = b` at level `l`.
     fn jacobi_smooth32(&self, l: usize, u: &mut [f32], b: &[f32], sweeps: usize) {
         let omega = self.hier.opts.omega as f32;
-        let diag_inv = &self.levels32[l].diag_inv;
+        let lv = &self.levels32[l];
         let nn = u.len();
         let mut r = vec![0.0f32; nn];
         for _ in 0..sweeps {
-            self.apply32(l, u, &mut r);
+            lv.stencil.apply(u, &mut r);
             for i in 0..nn {
-                u[i] += omega * diag_inv[i] * (b[i] - r[i]);
+                u[i] += omega * lv.diag_inv[i] * (b[i] - r[i]);
             }
         }
     }
 
     /// `r = mask(b − K u)` at level `l`.
     fn residual32(&self, l: usize, u: &[f32], b: &[f32], r: &mut [f32]) {
-        self.apply32(l, u, r);
+        self.levels32[l].stencil.apply(u, r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
@@ -352,20 +223,8 @@ impl<const D: usize> MixedHierarchy<D> {
         let sys = &self.hier.levels[l];
         if l + 1 == self.hier.levels.len() {
             let b64: Vec<f64> = b.iter().map(|&v| f64::from(v)).collect();
-            let u64: Vec<f64> = u.iter().map(|&v| f64::from(v)).collect();
-            let (sol, _) = solve_cg_rhs_op(
-                &sys.grid,
-                &sys.basis,
-                sys.op,
-                &sys.nu,
-                &sys.bc,
-                &b64,
-                &u64,
-                CgOptions {
-                    tol: self.hier.opts.coarse_tol,
-                    ..Default::default()
-                },
-            );
+            let mut sol: Vec<f64> = u.iter().map(|&v| f64::from(v)).collect();
+            coarse_solve(sys, &b64, &mut sol, self.hier.opts.coarse_tol);
             for (ui, &si) in u.iter_mut().zip(&sol) {
                 *ui = si as f32;
             }

@@ -12,6 +12,15 @@
 //! All loops are matrix-free and parallelized with the element coloring of
 //! [`crate::color`].
 //!
+//! **Who uses these kernels.** The training loss (`FemLoss`, via
+//! [`energy_grad`]) and the slab-decomposed `dist_fem` solver: both see a
+//! new coefficient field on nearly every call and apply `K` about once per
+//! field, so they stay matrix-free. The solvers do not:
+//! [`crate::system::FemSystem`] assembles `K` once into a
+//! `Stencil` half-stencil (14 `f64` per node in 3D, about
+//! 235 MB at 128³; 5 in 2D) and applies it as a row gather. These kernels
+//! are the oracle that stencil is tested against.
+//!
 //! **Length validation** happens at construction boundaries
 //! ([`crate::system::FemSystem`], the `solve_cg*` entry points, the
 //! hierarchy builders) as typed [`crate::error::FemError`]s; the kernels

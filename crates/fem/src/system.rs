@@ -2,22 +2,31 @@
 //! tuple.
 //!
 //! [`FemSystem`] packages the residual / operator-application / smoothing
-//! entry points that were previously private to [`crate::gmg::GmgSolver`],
-//! so hybrid solvers can drive the same FEM kernels outside a canned
-//! `solve` loop: compute true residuals after arbitrary (e.g. learned)
-//! updates, run ad-hoc smoothing sweeps, or feed a pluggable-preconditioner
-//! CG ([`crate::pcg`]). The operator is pluggable ([`PdeOperator`]); the
-//! historical name [`PoissonSystem`] survives as an alias for the default
-//! scalar-ν build.
+//! entry points every solver drives: multigrid levels, PCG applies, true
+//! residuals after arbitrary (e.g. learned) updates, and certificates. The
+//! operator is pluggable ([`PdeOperator`]); the historical name
+//! [`PoissonSystem`] survives as an alias for the default scalar-ν build.
+//!
+//! **Which operator runs where.** A system assembles its operator once, at
+//! construction, into an assembled half-stencil (`Stencil`): the centre
+//! plus the forward offsets of each node's `3^D` neighbourhood. Every
+//! [`apply`](FemSystem::apply), residual and Jacobi sweep is then a pure
+//! row gather. That costs 14 `f64` per node in 3D (about 235 MB at 128³)
+//! and 5 in 2D. The training loss and `dist_fem` stay matrix-free
+//! ([`crate::operator`] / [`PdeOperator`] quadrature kernels): they see a
+//! new coefficient field on nearly every call, so assembly would not pay
+//! off there.
 
 use crate::basis::ElementBasis;
 use crate::bc::Dirichlet;
 use crate::error::FemError;
 use crate::grid::Grid;
 use crate::pde::PdeOperator;
+use crate::stencil::Stencil;
 
 /// The discrete operator `K(ν)` with its Dirichlet mask — the reusable
 /// core of every solver in this crate.
+#[derive(Clone)]
 pub struct FemSystem<const D: usize> {
     /// Structured grid the system is discretized on.
     pub grid: Grid<D>,
@@ -29,6 +38,8 @@ pub struct FemSystem<const D: usize> {
     pub nu: Vec<f64>,
     /// Dirichlet boundary condition (mask + prescribed values).
     pub bc: Dirichlet,
+    /// `K` assembled once into its symmetric half-stencil.
+    stencil: Stencil<D>,
     /// Masked inverse stiffness diagonal (zero at fixed nodes).
     diag_inv: Vec<f64>,
 }
@@ -70,9 +81,9 @@ impl<const D: usize> FemSystem<D> {
             });
         }
         let basis = ElementBasis::new(&grid);
-        let mut diag = vec![0.0; nn];
-        op.stiffness_diag(&grid, &basis, &nu, &mut diag);
-        let diag_inv: Vec<f64> = diag
+        let stencil = Stencil::assemble(&grid, &basis, op, &nu);
+        let diag_inv: Vec<f64> = stencil
+            .diag()
             .iter()
             .zip(&bc.fixed)
             .map(|(&d, &fx)| {
@@ -89,6 +100,7 @@ impl<const D: usize> FemSystem<D> {
             op,
             nu,
             bc,
+            stencil,
             diag_inv,
         })
     }
@@ -104,11 +116,14 @@ impl<const D: usize> FemSystem<D> {
         &self.diag_inv
     }
 
+    /// The assembled operator.
+    pub(crate) fn stencil(&self) -> &Stencil<D> {
+        &self.stencil
+    }
+
     /// `out = K u` (overwrites `out`; rows of fixed nodes included).
     pub fn apply(&self, u: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|x| *x = 0.0);
-        self.op
-            .apply_stiffness(&self.grid, &self.basis, &self.nu, u, out);
+        self.stencil.apply(u, out);
     }
 
     /// Zeroes fixed entries of `v`.

@@ -231,19 +231,21 @@ impl ErasedHierarchy {
         opts: HierarchyOptions,
         precision: Precision,
     ) -> Result<Self, HybridError> {
+        // The hierarchy's finest level is a copy of `sys`, so its stencil
+        // is not assembled a second time.
         Ok(match (sys, precision) {
             (ErasedSystem::D2(s), Precision::Mixed) => ErasedHierarchy::D2Mixed(
-                MixedHierarchy::build_with_operator(s.grid, s.op, &s.nu, &s.bc, opts)?,
+                MixedHierarchy::new(GridHierarchy::from_finest(s.clone(), opts)?),
             ),
             (ErasedSystem::D3(s), Precision::Mixed) => ErasedHierarchy::D3Mixed(
-                MixedHierarchy::build_with_operator(s.grid, s.op, &s.nu, &s.bc, opts)?,
+                MixedHierarchy::new(GridHierarchy::from_finest(s.clone(), opts)?),
             ),
-            (ErasedSystem::D2(s), _) => ErasedHierarchy::D2(GridHierarchy::build_with_operator(
-                s.grid, s.op, &s.nu, &s.bc, opts,
-            )?),
-            (ErasedSystem::D3(s), _) => ErasedHierarchy::D3(GridHierarchy::build_with_operator(
-                s.grid, s.op, &s.nu, &s.bc, opts,
-            )?),
+            (ErasedSystem::D2(s), _) => {
+                ErasedHierarchy::D2(GridHierarchy::from_finest(s.clone(), opts)?)
+            }
+            (ErasedSystem::D3(s), _) => {
+                ErasedHierarchy::D3(GridHierarchy::from_finest(s.clone(), opts)?)
+            }
         })
     }
 

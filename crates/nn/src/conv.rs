@@ -17,20 +17,45 @@ use mgd_tensor::{Element, GemmElement, Tensor};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide count of weight-panel packs built by [`Conv3d::prepack`].
-static PREPACK_BUILDS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of inference calls that reused prepacked panels
-/// instead of re-packing the weight matrix.
-static PREPACK_REUSES: AtomicU64 = AtomicU64::new(0);
+/// Weight-panel pack counts of one layer, or summed over a network.
+///
+/// Tests and benches compare two readings to assert that a model snapshot
+/// packs each layer once and then serves every slab/request from the
+/// cached panels.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PrepackStats {
+    /// Weight-panel packs built by [`Conv3d::prepack`].
+    pub builds: u64,
+    /// Inference calls that reused prepacked panels instead of re-packing
+    /// the weight matrix.
+    pub reuses: u64,
+}
 
-/// Returns `(builds, reuses)` for prepacked conv weight panels — tests and
-/// benches use the deltas to assert that a model snapshot packs each layer
-/// once and then serves every slab/request from the cached panels.
-pub fn prepack_stats() -> (u64, u64) {
-    (
-        PREPACK_BUILDS.load(Ordering::Relaxed),
-        PREPACK_REUSES.load(Ordering::Relaxed),
-    )
+impl std::ops::Add for PrepackStats {
+    type Output = PrepackStats;
+    fn add(self, o: PrepackStats) -> PrepackStats {
+        PrepackStats {
+            builds: self.builds + o.builds,
+            reuses: self.reuses + o.reuses,
+        }
+    }
+}
+
+/// The counters behind [`PrepackStats`], owned by one layer. Reuses are
+/// counted from `&self` inference on any number of threads, hence atomic.
+#[derive(Debug, Default)]
+struct PrepackCounter {
+    builds: u64,
+    reuses: AtomicU64,
+}
+
+impl Clone for PrepackCounter {
+    fn clone(&self) -> Self {
+        PrepackCounter {
+            builds: self.builds,
+            reuses: AtomicU64::new(self.reuses.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 /// A 3D convolution `y = W ⊛ x + b` over NCDHW tensors.
@@ -70,6 +95,8 @@ pub struct Conv3d<E: Element = f64> {
     /// inference call until the weights can change again (any training
     /// forward or `params()` borrow invalidates them).
     prepacked: Option<PackedA<E>>,
+    /// How often this layer built and reused its prepacked panels.
+    prepack_counts: PrepackCounter,
 }
 
 impl Conv3d {
@@ -96,6 +123,7 @@ impl Conv3d {
             cache_x: None,
             scratch: Scratch::default(),
             prepacked: None,
+            prepack_counts: PrepackCounter::default(),
         }
     }
 
@@ -166,6 +194,7 @@ impl<E: Element> Conv3d<E> {
             cache_x: None,
             scratch: Scratch::default(),
             prepacked: None,
+            prepack_counts: PrepackCounter::default(),
         }
     }
 }
@@ -521,7 +550,15 @@ impl<E: GemmElement> Conv3d<E> {
         let (kd, kh, kw) = self.kernel;
         let kdim = self.in_c * kd * kh * kw;
         self.prepacked = Some(pack_a(self.weight.data.as_slice(), self.out_c, kdim, false));
-        PREPACK_BUILDS.fetch_add(1, Ordering::Relaxed);
+        self.prepack_counts.builds += 1;
+    }
+
+    /// Panel packs this layer built and inference calls that reused them.
+    pub fn prepack_stats(&self) -> PrepackStats {
+        PrepackStats {
+            builds: self.prepack_counts.builds,
+            reuses: self.prepack_counts.reuses.load(Ordering::Relaxed),
+        }
     }
 
     /// Borrows the prepacked panels if present (counting the reuse), else
@@ -529,7 +566,7 @@ impl<E: GemmElement> Conv3d<E> {
     fn packed<'a>(&'a self, kdim: usize, local: &'a mut Option<PackedA<E>>) -> &'a PackedA<E> {
         match &self.prepacked {
             Some(pa) => {
-                PREPACK_REUSES.fetch_add(1, Ordering::Relaxed);
+                self.prepack_counts.reuses.fetch_add(1, Ordering::Relaxed);
                 pa
             }
             None => local.insert(pack_a(self.weight.data.as_slice(), self.out_c, kdim, false)),

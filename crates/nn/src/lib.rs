@@ -62,7 +62,7 @@ mod util;
 pub mod workspace;
 
 pub use act::{LeakyReLU, Sigmoid};
-pub use conv::{prepack_stats, Conv3d};
+pub use conv::{Conv3d, PrepackStats};
 pub use convt::ConvTranspose3d;
 pub use io::{Checkpoint, WeightSnapshot};
 pub use layer::Layer;

@@ -8,6 +8,7 @@
 //! `Model`, which is what lets the engine hold an architecture chosen at
 //! runtime while the trainers stay statically generic.
 
+use crate::conv::PrepackStats;
 use crate::layer::Layer;
 use crate::spatial::SlabOpts;
 use crate::unet::UNet;
@@ -67,6 +68,12 @@ pub trait SlabModel<E: Element = f64>: Send + Sync {
         ws: &mut Workspace<E>,
         opts: &SlabOpts,
     ) -> Tensor<E>;
+
+    /// Weight-panel packs this view built and inference calls that reused
+    /// them (zero for views without prepacked panels).
+    fn prepack_stats(&self) -> PrepackStats {
+        PrepackStats::default()
+    }
 }
 
 impl SlabModel for UNet {
@@ -83,6 +90,9 @@ impl SlabModel for UNet {
     ) -> Tensor {
         crate::spatial::infer_slab(self, slab, comm, ws, opts)
     }
+    fn prepack_stats(&self) -> PrepackStats {
+        UNet::prepack_stats(self)
+    }
 }
 
 impl SlabModel<f32> for UNet<f32> {
@@ -98,6 +108,9 @@ impl SlabModel<f32> for UNet<f32> {
         opts: &SlabOpts,
     ) -> Tensor<f32> {
         crate::spatial::infer_slab(self, slab, comm, ws, opts)
+    }
+    fn prepack_stats(&self) -> PrepackStats {
+        UNet::prepack_stats(self)
     }
 }
 

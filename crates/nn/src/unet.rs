@@ -9,7 +9,7 @@
 //! reproduce the paper's "starting filter size 16, doubled with depth".
 
 use crate::act::{LeakyReLU, Sigmoid};
-use crate::conv::Conv3d;
+use crate::conv::{Conv3d, PrepackStats};
 use crate::convt::ConvTranspose3d;
 use crate::layer::{Dims5, Layer};
 use crate::lowering::ConvBackend;
@@ -387,6 +387,17 @@ impl<E: GemmElement> UNet<E> {
             block.conv.prepack();
         }
         self.head.prepack();
+    }
+
+    /// Weight-panel packs built and reused, summed over this network's
+    /// convolutions (the layers [`Self::prepack`] packs).
+    pub fn prepack_stats(&self) -> PrepackStats {
+        self.enc
+            .iter()
+            .chain(std::iter::once(&self.bottleneck))
+            .chain(&self.merges)
+            .map(|b| b.conv.prepack_stats())
+            .fold(self.head.prepack_stats(), |a, b| a + b)
     }
 
     /// Shared-state inference forward: the full U-Net traversal of

@@ -198,23 +198,21 @@ fn repeated_spatial_predicts_reuse_pool_and_prepacked_panels() {
         .map(|s| engine.dataset().nu_field(s, &[32, 32, 32]))
         .collect();
     let _ = engine.predict(&fields[0]).unwrap(); // warm-up request
-    let spawns_before = mgd_dist::total_rank_spawns();
-    let (builds_before, reuses_before) = mgd_nn::prepack_stats();
+    let before = engine.stats();
     for f in &fields {
         let _ = engine.predict(f).unwrap();
     }
+    let after = engine.stats();
     assert_eq!(
-        mgd_dist::total_rank_spawns(),
-        spawns_before,
+        after.rank_spawns, before.rank_spawns,
         "repeated predicts must not respawn rank threads"
     );
-    let (builds_after, reuses_after) = mgd_nn::prepack_stats();
     assert_eq!(
-        builds_after, builds_before,
+        after.prepack_builds, before.prepack_builds,
         "repeated predicts must not repack weight panels"
     );
     assert!(
-        reuses_after > reuses_before,
+        after.prepack_reuses > before.prepack_reuses,
         "predicts must reuse the prepacked panels"
     );
     let stats = engine.stats();
