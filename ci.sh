@@ -13,6 +13,11 @@ run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release --workspace
 run cargo test -q --workspace
+# Portable kernels: the native build on an AVX-512 host never compiles the
+# fallback GEMM tile; RUSTFLAGS overrides build.rustflags to test it (in a
+# separate target dir, so the native build stays cached).
+RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/portable \
+    run cargo test -q -p mgd-tensor -p mgd-nn
 # Distributed smoke: exercise the replicate/shard/all-reduce path end to
 # end with 2 and 4 in-process ranks on every push.
 run cargo run --release -p mgd-examples --bin distributed_training -- --threads 2

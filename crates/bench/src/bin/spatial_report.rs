@@ -29,13 +29,15 @@
 //! Default output path: `results/BENCH_spatial.json`. Activation numbers
 //! come from [`mgd_nn::activation_peak_elems_opts`] — a live-tensor model
 //! of the forward walk (weights and the assembled I/O fields are excluded
-//! on both sides of the comparison) — cross-checked against the
-//! allocation meter ([`mgd_nn::measured_peak_elems`]) on every timed run.
+//! on both sides of the comparison) — cross-checked on every timed run
+//! against the allocation meter each rank keeps on its workspace
+//! ([`mgd_nn::Workspace::measured_peak_elems`]), maxed over the ranks in
+//! `ServeStats::slab_activation_peak_elems`.
 
 use mgd_dist::{launch_with, Comm, SlabLayout, SlabPartition, SlabPool};
 use mgd_nn::{
-    activation_peak_elems, activation_peak_elems_opts, infer_slab, measured_peak_elems,
-    reset_measured_peak, SlabOpts, UNet, UNetConfig, Workspace,
+    activation_peak_elems, activation_peak_elems_opts, infer_slab, SlabOpts, UNet, UNetConfig,
+    Workspace,
 };
 use mgdiffnet::prelude::*;
 use mgdiffnet::Precision;
@@ -335,14 +337,15 @@ fn megavoxel_case(m: usize, depth: usize, filters: usize, ranks: usize, gate: bo
 
     let spatial = Cfg::new(&res, depth, filters, Parallelism::SpatialThreads(ranks)).build();
     let nu = spatial.dataset().nu_field(0, &res);
-    reset_measured_peak();
     let (spatial_ms, u_spatial) = best_of(&spatial, &nu, runs);
-    let measured_mb = measured_peak_elems() as f64 * 8.0 / MB;
+    // The largest meter reading over the ranks' workspaces (a fresh
+    // engine, so only this case's walks).
+    let stats = spatial.stats();
+    let measured_mb = stats.slab_activation_peak_elems as f64 * 8.0 / MB;
     assert!(
         measured_mb > 0.0 && measured_mb <= max_rank_mb,
         "measured per-rank peak {measured_mb:.1} MB must stay within the model {max_rank_mb:.1} MB"
     );
-    let stats = spatial.stats();
     assert_eq!(
         stats.slab_pool_misses, 0,
         "the eager pool must absorb every request"
@@ -428,15 +431,14 @@ fn out_of_core_case(m: usize, depth: usize, filters: usize, ranks: usize) -> Val
     cfg.spill = Some(scratch_dir());
     let engine = cfg.build();
     let nu = engine.dataset().nu_field(0, &res);
-    reset_measured_peak();
     let t = Instant::now();
     let u = engine.predict(&nu).expect("streamed predict");
     let ms = t.elapsed().as_secs_f64() * 1e3;
-    let measured_gb = measured_peak_elems() as f64 * 8.0 / GB;
+    let measured = engine.stats().slab_activation_peak_elems as usize;
+    let measured_gb = measured as f64 * 8.0 / GB;
     assert!(
-        measured_peak_elems() > 0 && measured_peak_elems() <= max_rank_elems,
-        "measured streamed peak {} elems must stay within the model {max_rank_elems} elems",
-        measured_peak_elems()
+        measured > 0 && measured <= max_rank_elems,
+        "measured streamed peak {measured} elems must stay within the model {max_rank_elems} elems"
     );
     assert!(u.as_slice().iter().all(|v| v.is_finite()));
     println!(

@@ -515,7 +515,7 @@ impl SolverEngineBuilder {
     /// Numeric policy of the serving surface (default [`Precision::F64`]).
     ///
     /// - [`Precision::F64`]: everything runs in f64 — bitwise identical to
-    ///   engines built before this knob existed.
+    ///   an engine that never sets this knob.
     /// - [`Precision::F32`]: `predict*` forwards run through the f32 SIMD
     ///   kernels ([`mgd_nn::Model::share_f32`]) with one input demotion and
     ///   one (exact) output promotion per batch; cached predictions are

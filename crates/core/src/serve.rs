@@ -229,6 +229,7 @@ pub struct SharedServeStats {
     slab_pool_hits: AtomicU64,
     slab_pool_misses: AtomicU64,
     rank_spawns: AtomicU64,
+    slab_activation_peak_elems: AtomicU64,
 }
 
 impl SharedServeStats {
@@ -245,6 +246,7 @@ impl SharedServeStats {
             slab_pool_hits: self.slab_pool_hits.load(Ordering::Relaxed),
             slab_pool_misses: self.slab_pool_misses.load(Ordering::Relaxed),
             rank_spawns: self.rank_spawns.load(Ordering::Relaxed),
+            slab_activation_peak_elems: self.slab_activation_peak_elems.load(Ordering::Relaxed),
             prepack_builds: 0,
             prepack_reuses: 0,
         }
@@ -281,6 +283,11 @@ pub struct ServeStats {
     /// Rank threads spawned for spatial serving: the persistent pools'
     /// workers plus the per-request ranks of the replica fallback.
     pub rank_spawns: u64,
+    /// Largest live-activation element count one rank of a pooled spatial
+    /// forward held: the max over the ranks' workspace meters
+    /// ([`mgd_nn::Workspace::measured_peak_elems`]), the measured
+    /// counterpart of [`mgd_nn::activation_peak_elems_opts`].
+    pub slab_activation_peak_elems: u64,
     /// Weight-panel packs built by the snapshot's slab model (its one-time
     /// prepack). Unlike the other fields this belongs to one snapshot.
     pub prepack_builds: u64,
@@ -1346,9 +1353,10 @@ impl EngineSnapshot {
                 let (part, dims2) = (part.clone(), dims.clone());
                 let slabs = pool.run(move |comm: &ThreadComm, state: &mut RankState| {
                     let slab = carve_rank_slab(&x, &part, &layout, &dims2, three_d, comm.rank());
-                    m.infer_slab(&slab, comm, &mut state.ws, &opts).into_vec()
+                    let out = m.infer_slab(&slab, comm, &mut state.ws, &opts).into_vec();
+                    (out, state.ws.measured_peak_elems())
                 });
-                Tensor::from_vec(out_dims, assemble_planes(&slabs, batch, layout.post))
+                Tensor::from_vec(out_dims, self.assemble_metered(slabs, batch, layout.post))
             }
             SlabWeights::F32(m) => {
                 // One demotion at the batch boundary, one promotion on the
@@ -1358,14 +1366,31 @@ impl EngineSnapshot {
                 let (part, dims2) = (part.clone(), dims.clone());
                 let slabs = pool.run(move |comm: &ThreadComm, state: &mut RankState| {
                     let slab = carve_rank_slab(&x32, &part, &layout, &dims2, three_d, comm.rank());
-                    m.infer_slab(&slab, comm, &mut state.ws32, &opts).into_vec()
+                    let out = m.infer_slab(&slab, comm, &mut state.ws32, &opts).into_vec();
+                    (out, state.ws32.measured_peak_elems())
                 });
-                Tensor::<f32>::from_vec(out_dims, assemble_planes(&slabs, batch, layout.post))
+                Tensor::<f32>::from_vec(out_dims, self.assemble_metered(slabs, batch, layout.post))
                     .cast::<f64>()
             }
         };
         sp.release_pool(pool);
         Ok(out)
+    }
+
+    /// Stitches rank-ordered slab outputs, recording the ranks' largest
+    /// metered activation peak on the serving stats.
+    fn assemble_metered<E: Copy + Default>(
+        &self,
+        slabs: Vec<(Vec<E>, usize)>,
+        batch: usize,
+        post: usize,
+    ) -> Vec<E> {
+        let peak = slabs.iter().map(|(_, p)| *p).max().unwrap_or(0);
+        self.stats
+            .slab_activation_peak_elems
+            .fetch_max(peak as u64, Ordering::Relaxed);
+        let slabs: Vec<Vec<E>> = slabs.into_iter().map(|(s, _)| s).collect();
+        assemble_planes(&slabs, batch, post)
     }
 
     /// Fallback spatial forward for injected architectures without a

@@ -4,8 +4,8 @@
 
 use crate::layer::{Dims5, Layer, Triple};
 use crate::lowering::{
-    anchor_chunks, anchor_chunks_range, bias_grad, col2im_accumulate, col2im_range_accumulate,
-    im2col, im2col_range, ConvBackend, ConvGeom, Scratch, PATCH_CACHE_MAX,
+    anchor_chunks, bias_grad, col2im_accumulate, col2im_range_accumulate, conv_gemm, im2col,
+    im2col_range, ConvBackend, ConvGeom, Scratch, PATCH_CACHE_MAX,
 };
 use crate::param::Param;
 use crate::spatial::SplitAxis;
@@ -66,7 +66,8 @@ impl Clone for PrepackCounter {
 ///
 /// The forward/backward kernels run on the [`ConvBackend`] selected at
 /// construction (default [`ConvBackend::Gemm`]): each pass lowers onto one
-/// blocked matrix product per sample — `Y = W·im2col(X)`,
+/// blocked matrix product per sample — `Y = W·im2col(X)` (as an implicit
+/// GEMM that gathers patch panels straight from `X`, see [`conv_gemm`]),
 /// `dX = col2im(Wᵀ·dY)`, `dW += dY·im2col(X)ᵀ` — sharing the packed weight
 /// panels across the batch.
 #[derive(Clone, Debug)]
@@ -203,69 +204,47 @@ impl Conv3d {
     /// GEMM forward: per sample, `Y_n = W · im2col(X_n)` (+ bias), sharing
     /// the packed weight panels across the batch.
     ///
-    /// Small problems gather the whole patch matrix at once (and keep it
-    /// for the weight-gradient GEMM when training within
-    /// [`PATCH_CACHE_MAX`]); megavoxel problems stream cache-resident
-    /// column chunks through gather → GEMM so the patch matrix never
-    /// round-trips DRAM.
+    /// A training forward within [`PATCH_CACHE_MAX`] gathers the whole
+    /// patch matrix and keeps it for the weight-gradient GEMM; every other
+    /// forward runs the implicit GEMM ([`conv_gemm`]), which gathers patch
+    /// panels straight from the input and never materializes the matrix.
     fn forward_gemm(&mut self, x: &Tensor, din: &Dims5, dout: &Dims5, train: bool) -> Tensor {
         let geom = self.geom(din, dout);
         let (kdim, p) = (geom.rows(), geom.cols());
-        let ow = dout.w;
         let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
         // The [out_c, in_c, kd, kh, kw] weight is already the out_c × kdim
         // matrix row-major — pack it once for the whole batch.
         let pa = pack_a(self.weight.data.as_slice(), self.out_c, kdim, false);
+        let cache_patches = train && din.n * kdim * p <= PATCH_CACHE_MAX;
+        self.scratch.cached_valid = cache_patches;
+        if !cache_patches {
+            self.rows_into(&pa, &geom, x, 0..dout.d * dout.h, &mut y, 0);
+            return y;
+        }
         let xs = x.as_slice();
         let bs = self.bias.data.as_slice();
         let ys = y.as_mut_slice();
-        let cache_patches = train && din.n * kdim * p <= PATCH_CACHE_MAX;
-        let Scratch {
-            col,
-            ctmp,
-            cached,
-            cached_valid,
-            ..
-        } = &mut self.scratch;
-        *cached_valid = cache_patches;
-        if cache_patches {
-            cached.resize(din.n * kdim * p, 0.0);
-        }
+        let cached = &mut self.scratch.cached;
+        cached.resize(din.n * kdim * p, 0.0);
         for ni in 0..din.n {
             let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
             let yslab = &mut ys[ni * self.out_c * p..][..self.out_c * p];
-            if cache_patches {
-                let colslab = &mut cached[ni * kdim * p..(ni + 1) * kdim * p];
-                im2col(&geom, xslab, colslab);
-                // Seed each output row with its bias; the GEMM accumulates
-                // the patch products on top.
-                for (oc, row) in yslab.chunks_exact_mut(p).enumerate() {
-                    row.fill(bs[oc]);
-                }
-                gemm_prepacked(&pa, colslab, false, yslab, p, true);
-            } else {
-                for (ar0, ar1) in anchor_chunks(&geom) {
-                    let cc = (ar1 - ar0) * ow;
-                    col.resize(kdim * cc, 0.0);
-                    im2col_range(&geom, xslab, col, ar0, ar1);
-                    ctmp.resize(self.out_c * cc, 0.0);
-                    gemm_prepacked(&pa, col, false, ctmp, cc, false);
-                    for oc in 0..self.out_c {
-                        let b = bs[oc];
-                        let dst = &mut yslab[oc * p + ar0 * ow..oc * p + ar1 * ow];
-                        for (d, s) in dst.iter_mut().zip(&ctmp[oc * cc..(oc + 1) * cc]) {
-                            *d = b + s;
-                        }
-                    }
-                }
+            let colslab = &mut cached[ni * kdim * p..(ni + 1) * kdim * p];
+            im2col(&geom, xslab, colslab);
+            // Seed each output row with its bias; the GEMM accumulates
+            // the patch products on top.
+            for (oc, row) in yslab.chunks_exact_mut(p).enumerate() {
+                row.fill(bs[oc]);
             }
+            gemm_prepacked(&pa, colslab, false, yslab, p, true);
         }
         y
     }
 
     /// GEMM backward: `dW += dY_n · im2col(X_n)ᵀ` over cached (or
     /// re-gathered) patch matrices, and `dX_n = col2im(Wᵀ · dY_n)` —
-    /// chunked like the forward pass when the patch matrix is not cached.
+    /// streamed through cache-resident anchor-row chunks when the patch
+    /// matrix is not cached.
     fn backward_gemm(
         &mut self,
         x: &Tensor,
@@ -574,14 +553,16 @@ impl<E: GemmElement> Conv3d<E> {
     }
 
     /// Shared-state inference forward: bitwise identical to
-    /// `forward(x, false)` at the default `f64` element, but `&self` — all
-    /// transient buffers live in the caller's [`Workspace`], so one set of
-    /// weights behind an `Arc` can serve any number of concurrent callers.
+    /// `forward(x, false)` at the default `f64` element, but `&self`, so
+    /// one set of weights behind an `Arc` can serve any number of
+    /// concurrent callers.
     ///
-    /// The Gemm path runs the same streamed gather → GEMM chunk loop as the
-    /// inference branch of [`Layer::forward`] (inference never caches
-    /// patches), so values match that path bit for bit.
-    pub fn infer(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E> {
+    /// The Gemm path is the implicit GEMM of the inference branch of
+    /// [`Layer::forward`] (inference never caches patches), so values match
+    /// that path bit for bit. It gathers patch panels straight from `x` and
+    /// needs no scratch; the [`Workspace`] parameter keeps the signature
+    /// uniform with the other layers.
+    pub fn infer(&self, x: &Tensor<E>, _ws: &mut Workspace<E>) -> Tensor<E> {
         let din = Dims5::of(x);
         assert_eq!(din.c, self.in_c, "channel mismatch");
         let dout = self.out_dims(&din);
@@ -589,34 +570,45 @@ impl<E: GemmElement> Conv3d<E> {
             return self.forward_direct(x, &din, &dout);
         }
         let geom = self.geom(&din, &dout);
-        let (kdim, p) = (geom.rows(), geom.cols());
-        let ow = dout.w;
         let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
         let mut local = None;
-        let pa = self.packed(kdim, &mut local);
-        let xs = x.as_slice();
-        let bs = self.bias.data.as_slice();
-        let ys = y.as_mut_slice();
-        let Workspace { col, ctmp, .. } = ws;
-        for ni in 0..din.n {
-            let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
-            let yslab = &mut ys[ni * self.out_c * p..][..self.out_c * p];
-            for (ar0, ar1) in anchor_chunks(&geom) {
-                let cc = (ar1 - ar0) * ow;
-                col.resize(kdim * cc, E::ZERO);
-                im2col_range(&geom, xslab, col, ar0, ar1);
-                ctmp.resize(self.out_c * cc, E::ZERO);
-                gemm_prepacked(pa, col, false, ctmp, cc, false);
-                for oc in 0..self.out_c {
-                    let b = bs[oc];
-                    let dst = &mut yslab[oc * p + ar0 * ow..oc * p + ar1 * ow];
-                    for (d, s) in dst.iter_mut().zip(&ctmp[oc * cc..(oc + 1) * cc]) {
-                        *d = b + *s;
-                    }
-                }
-            }
-        }
+        let pa = self.packed(geom.rows(), &mut local);
+        self.rows_into(pa, &geom, x, 0..dout.d * dout.h, &mut y, 0);
         y
+    }
+
+    /// Implicit-GEMM forward of anchor rows `rows` (flattened `(o_d, o_h)`)
+    /// of every sample of `x`, written into `dst` (`[n, out_c, …]` with
+    /// `ow`-wide rows) from row `dst_row0` of each channel plane on.
+    fn rows_into(
+        &self,
+        pa: &PackedA<E>,
+        geom: &ConvGeom,
+        x: &Tensor<E>,
+        rows: std::ops::Range<usize>,
+        dst: &mut Tensor<E>,
+        dst_row0: usize,
+    ) {
+        let n = x.dims()[0];
+        let xvol = self.in_c * geom.vol();
+        let pvol = dst.len() / (n * self.out_c);
+        let ow = geom.out.2;
+        let bs = self.bias.data.as_slice();
+        let (xs, ys) = (x.as_slice(), dst.as_mut_slice());
+        for ni in 0..n {
+            let xslab = &xs[ni * xvol..][..xvol];
+            let yslab = &mut ys[ni * self.out_c * pvol..][..self.out_c * pvol];
+            conv_gemm(
+                pa,
+                geom,
+                xslab,
+                rows.start,
+                rows.end,
+                &mut yslab[dst_row0 * ow..],
+                pvol,
+                bs,
+            );
+        }
     }
 
     /// [`Conv3d::infer_planes_into`] with a freshly allocated output of
@@ -662,7 +654,7 @@ impl<E: GemmElement> Conv3d<E> {
         axis: SplitAxis,
         dst: &mut Tensor<E>,
         dst_plane0: usize,
-        ws: &mut Workspace<E>,
+        _ws: &mut Workspace<E>,
     ) {
         let din = Dims5::of(x);
         assert_eq!(din.c, self.in_c, "channel mismatch");
@@ -709,32 +701,9 @@ impl<E: GemmElement> Conv3d<E> {
             return;
         }
         let geom = self.geom(&din, &dout);
-        let kdim = geom.rows();
         let mut local = None;
-        let pa = self.packed(kdim, &mut local);
-        let xs = x.as_slice();
-        let bs = self.bias.data.as_slice();
-        let Workspace { col, ctmp, .. } = ws;
-        for ni in 0..din.n {
-            let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
-            let yslab = &mut ys[ni * self.out_c * pvol..][..self.out_c * pvol];
-            for (c0, c1) in anchor_chunks_range(&geom, ar0, ar1) {
-                let cc = (c1 - c0) * ow;
-                col.resize(kdim * cc, E::ZERO);
-                im2col_range(&geom, xslab, col, c0, c1);
-                ctmp.resize(self.out_c * cc, E::ZERO);
-                gemm_prepacked(pa, col, false, ctmp, cc, false);
-                for oc in 0..self.out_c {
-                    let b = bs[oc];
-                    let row0 = dst_row0 + (c0 - ar0);
-                    let row1 = dst_row0 + (c1 - ar0);
-                    let dstband = &mut yslab[oc * pvol + row0 * ow..oc * pvol + row1 * ow];
-                    for (d, s) in dstband.iter_mut().zip(&ctmp[oc * cc..(oc + 1) * cc]) {
-                        *d = b + *s;
-                    }
-                }
-            }
-        }
+        let pa = self.packed(geom.rows(), &mut local);
+        self.rows_into(pa, &geom, x, ar0..ar1, dst, dst_row0);
     }
 }
 
@@ -926,8 +895,8 @@ mod tests {
     #[test]
     fn gemm_chunked_path_matches_direct_at_64cubed() {
         // 1×2ch×64³ exceeds both the patch cache and the chunk budget, so
-        // this exercises the streamed (chunked) forward AND backward GEMM
-        // paths against the direct reference.
+        // this exercises the implicit-GEMM training forward AND the
+        // streamed (chunked) backward against the direct reference.
         let mut r = rng();
         let mut direct = Conv3d::same(2, 2, (3, 3, 3), &mut r).with_backend(ConvBackend::Direct);
         let mut gemm = direct.clone().with_backend(ConvBackend::Gemm);
@@ -971,9 +940,8 @@ mod tests {
 
     #[test]
     fn infer_matches_forward_bitwise_both_backends() {
-        // 20³ per channel stays under the chunk budget while 64³ (covered by
-        // the chunked-path test above) exceeds it; both route through the
-        // same streamed loop the infer path replicates.
+        // An inference forward and `infer` both run the implicit GEMM over
+        // all anchor rows, so they must agree bit for bit.
         let mut r = rng();
         for backend in [ConvBackend::Gemm, ConvBackend::Direct] {
             let mut c = Conv3d::same(2, 3, (3, 3, 3), &mut r).with_backend(backend);

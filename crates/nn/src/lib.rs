@@ -13,9 +13,9 @@
 //!   path. Each layer runs on a selectable [`lowering::ConvBackend`]: the
 //!   default `Gemm` backend lowers **all four passes** (conv and
 //!   transpose-conv, forward and backward) onto the single blocked matmul
-//!   kernel of [`mgd_tensor::matmul`] via the shared im2col/col2im pair in
-//!   [`lowering`] — 4–14× faster than the scalar loops on paper-scale
-//!   grids — while `Direct` keeps the original sliding-window kernels as a
+//!   kernel of [`mgd_tensor::matmul`] via [`lowering`] — an implicit-GEMM
+//!   gather for the conv forward, the shared im2col/col2im pair for the
+//!   rest — while `Direct` keeps the original sliding-window kernels as a
 //!   property-tested, bisectable reference;
 //! - [`norm::BatchNorm`], [`pool::MaxPool3d`], [`act::LeakyReLU`],
 //!   [`act::Sigmoid`];
@@ -73,8 +73,8 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use pool::MaxPool3d;
 pub use spatial::{
-    activation_peak_elems, activation_peak_elems_opts, infer_slab, measured_peak_elems,
-    predict_slab, reset_measured_peak, SlabOpts, SplitAxis,
+    activation_peak_elems, activation_peak_elems_opts, infer_slab, predict_slab, SlabOpts,
+    SplitAxis,
 };
 pub use unet::{UNet, UNetConfig};
 pub use workspace::Workspace;

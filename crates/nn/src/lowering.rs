@@ -1,32 +1,42 @@
 //! Shared im2col / col2im lowering for the GEMM convolution backend.
 //!
-//! All four convolution passes in this crate reduce to one matrix product
-//! per sample (computed by [`mgd_tensor::matmul`]):
+//! All convolution passes in this crate reduce to one matrix product per
+//! sample (computed by [`mgd_tensor::matmul`]):
 //!
 //! | pass                        | product                                     |
 //! |-----------------------------|---------------------------------------------|
-//! | `Conv3d` forward            | `Y = W · im2col(X)`                          |
+//! | `Conv3d` forward            | `Y = W · [X]` (implicit gather, [`conv_gemm`]) |
 //! | `Conv3d` ∂input             | `dX = col2im(Wᵀ · dY)`                       |
 //! | `Conv3d` ∂weight            | `dW += dY · im2col(X)ᵀ`                      |
 //! | `ConvTranspose3d` forward   | `Y = col2im(Vᵀ · X) + b`                     |
 //! | `ConvTranspose3d` ∂input    | `dX = V · im2col(dY)`                        |
 //! | `ConvTranspose3d` ∂weight   | `dV += X · im2col(dY)ᵀ`                      |
 //!
-//! where the patch matrix of a sample gathers one `(channel, kernel-tap)`
-//! row per matrix row and one sliding-window position per column. A
-//! transpose convolution is the adjoint of a convolution with the same
+//! where the patch matrix of a sample holds one `(channel, kernel-tap)`
+//! row per matrix row and one sliding-window position per column. The
+//! `Conv3d` forward never materializes it: [`conv_gemm`] hands the GEMM a
+//! [`PanelSource`] that gathers each packed `NR`-column panel straight
+//! from the activation (`[X]` above), so the patch values go from the
+//! input to the micro-kernel in one copy instead of three (im2col, B-pack,
+//! kernel). The panels hold exactly the values [`im2col_range`] would
+//! write, so the product is bitwise identical to im2col + GEMM. The only
+//! materialized patch matrices left are those of the backward passes and
+//! the cached-patch training forward (kept for the weight gradient).
+//!
+//! A transpose convolution is the adjoint of a convolution with the same
 //! kernel/stride/padding, so the *same two* gather/scatter routines serve
 //! both layers — `Conv3d` lowers over its input grid, `ConvTranspose3d`
 //! over its output grid.
 //!
-//! Both routines parallelize over patch rows (gather) or channels
-//! (scatter); every task writes a disjoint slice in a fixed order, so
-//! results are bitwise deterministic for any thread count.
+//! Gathers parallelize over patch rows (or GEMM column slabs) and
+//! scatters over channels; every task writes a disjoint slice in a fixed
+//! order, so results are bitwise deterministic for any thread count.
 
 use crate::layer::Triple;
 use crate::util::SendPtr;
+use mgd_tensor::matmul::{gemm_prepacked_with, PackedA, PanelSource};
 use mgd_tensor::par::par_jobs;
-use mgd_tensor::Element;
+use mgd_tensor::{Element, GemmElement};
 use serde::{Deserialize, Serialize};
 
 /// Which kernel implementation a convolution layer runs.
@@ -49,7 +59,7 @@ pub enum ConvBackend {
 /// `dims`-shaped grid gathered through `kernel`/`stride`/`padding` windows
 /// anchored at `out` positions.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ConvGeom {
+pub struct ConvGeom {
     /// Channels of the gathered/scattered grid.
     pub c: usize,
     /// Spatial extents (d, h, w) of the gathered/scattered grid.
@@ -120,13 +130,7 @@ pub(crate) fn im2col<E: Element>(g: &ConvGeom, src: &[E], col: &mut [E]) {
 /// patch matrix. Chunking along this axis keeps the patch matrix
 /// cache-resident at megavoxel grids, where materializing all of it would
 /// turn the GEMM lowering memory-bound.
-pub(crate) fn im2col_range<E: Element>(
-    g: &ConvGeom,
-    src: &[E],
-    col: &mut [E],
-    ar0: usize,
-    ar1: usize,
-) {
+pub fn im2col_range<E: Element>(g: &ConvGeom, src: &[E], col: &mut [E], ar0: usize, ar1: usize) {
     let rows = g.rows();
     let cols = (ar1 - ar0) * g.out.2;
     assert_eq!(src.len(), g.c * g.vol());
@@ -175,6 +179,231 @@ pub(crate) fn im2col_range<E: Element>(
             idx += ow;
         }
     });
+}
+
+/// One patch-matrix row of the implicit gather: a `(channel, kernel tap)`
+/// pair with its valid anchor ranges.
+#[derive(Clone, Copy, Debug)]
+struct Tap {
+    /// Channel base offset into the sample.
+    chan: usize,
+    /// Kernel tap indices (d, h, w).
+    k: Triple,
+    /// Valid anchors `[lo, hi)` per axis ([`anchor_range`]).
+    d: (usize, usize),
+    h: (usize, usize),
+    w: (usize, usize),
+}
+
+/// The patch matrix of anchor rows `[ar0, ar1)` as a [`PanelSource`]:
+/// panels are gathered straight from the activation, holding exactly the
+/// values [`im2col_range`] writes into its columns.
+struct PatchPanels<'a, E> {
+    g: &'a ConvGeom,
+    src: &'a [E],
+    ar0: usize,
+    taps: Vec<Tap>,
+    /// Per tap, `chan + ((kd - pd)·H + (kh - ph))·W + (kw - pw)`: its
+    /// source index relative to the window anchor, for anchors whose
+    /// windows lie wholly inside the grid (kept apart from `taps` so the
+    /// hot loop streams 8 bytes per row).
+    deltas: Vec<isize>,
+    /// Per-axis anchor ranges whose windows touch no padding for any tap.
+    inner: [(usize, usize); 3],
+}
+
+impl<'a, E: Element> PatchPanels<'a, E> {
+    fn new(g: &'a ConvGeom, src: &'a [E], ar0: usize) -> Self {
+        let (kd, kh, kw) = g.kernel;
+        let (sd, sh, sw) = g.stride;
+        let (pd, ph, pw) = g.padding;
+        let (dd, dh, dw) = g.dims;
+        let (od, oh, ow) = g.out;
+        let mut taps = Vec::with_capacity(g.rows());
+        let mut deltas = Vec::with_capacity(g.rows());
+        for ci in 0..g.c {
+            for kdi in 0..kd {
+                for khi in 0..kh {
+                    for kwi in 0..kw {
+                        let chan = ci * g.vol();
+                        let rel = ((kdi as isize - pd as isize) * dh as isize
+                            + (khi as isize - ph as isize))
+                            * dw as isize
+                            + (kwi as isize - pw as isize);
+                        taps.push(Tap {
+                            chan,
+                            k: (kdi, khi, kwi),
+                            d: anchor_range(kdi, sd, pd, dd, od),
+                            h: anchor_range(khi, sh, ph, dh, oh),
+                            w: anchor_range(kwi, sw, pw, dw, ow),
+                        });
+                        deltas.push(chan as isize + rel);
+                    }
+                }
+            }
+        }
+        // Anchors valid for the first and the last tap of an axis are
+        // valid for every tap in between.
+        let inner = |first: (usize, usize), last: (usize, usize)| {
+            let lo = first.0.max(last.0);
+            (lo, first.1.min(last.1).max(lo))
+        };
+        let inner = [
+            inner(
+                anchor_range(0, sd, pd, dd, od),
+                anchor_range(kd - 1, sd, pd, dd, od),
+            ),
+            inner(
+                anchor_range(0, sh, ph, dh, oh),
+                anchor_range(kh - 1, sh, ph, dh, oh),
+            ),
+            inner(
+                anchor_range(0, sw, pw, dw, ow),
+                anchor_range(kw - 1, sw, pw, dw, ow),
+            ),
+        ];
+        PatchPanels {
+            g,
+            src,
+            ar0,
+            taps,
+            deltas,
+            inner,
+        }
+    }
+
+    /// Writes row `t` of the patch matrix for the anchors `(o_d, o_h, o_w0
+    /// .. o_w0 + dst.len())` — one run of one anchor row.
+    #[inline]
+    fn gather_run(&self, t: &Tap, o_d: usize, o_h: usize, o_w0: usize, dst: &mut [E]) {
+        let g = self.g;
+        let len = dst.len();
+        if o_d < t.d.0 || o_d >= t.d.1 || o_h < t.h.0 || o_h >= t.h.1 {
+            dst.fill(E::ZERO);
+            return;
+        }
+        let (_, dh, dw) = g.dims;
+        let (sd, sh, sw) = g.stride;
+        let (pd, ph, pw) = g.padding;
+        let id = o_d * sd + t.k.0 - pd;
+        let ih = o_h * sh + t.k.1 - ph;
+        let srow = t.chan + (id * dh + ih) * dw;
+        let lo = t.w.0.clamp(o_w0, o_w0 + len);
+        let hi = t.w.1.clamp(lo, o_w0 + len);
+        dst[..lo - o_w0].fill(E::ZERO);
+        if hi > lo {
+            let iw0 = srow + lo * sw + t.k.2 - pw;
+            let out = &mut dst[lo - o_w0..hi - o_w0];
+            if sw == 1 {
+                out.copy_from_slice(&self.src[iw0..iw0 + (hi - lo)]);
+            } else {
+                for (i, d) in out.iter_mut().enumerate() {
+                    *d = self.src[iw0 + i * sw];
+                }
+            }
+        }
+        dst[hi - o_w0..].fill(E::ZERO);
+    }
+}
+
+impl<E: GemmElement> PanelSource<E> for PatchPanels<'_, E> {
+    fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, panel: &mut [E]) {
+        let nr = E::NR;
+        let (_, oh, ow) = self.g.out;
+        let (sd, sh, sw) = self.g.stride;
+        let (_, dh, dw) = self.g.dims;
+        let taps = &self.taps[k0..k0 + kc_len];
+        let deltas = &self.deltas[k0..k0 + kc_len];
+        let [din, hin, win] = self.inner;
+        let panel = &mut panel[..kc_len * nr];
+        if jn < nr {
+            for row in panel.chunks_exact_mut(nr) {
+                row[jn..].fill(E::ZERO);
+            }
+        }
+        // Split the panel into runs that stay on one anchor row; a narrow
+        // grid (ow < NR) or a misaligned panel straddles rows.
+        let mut col = 0;
+        while col < jn {
+            let abs = self.ar0 * ow + j0 + col;
+            let (a, o_w0) = (abs / ow, abs % ow);
+            let len = (ow - o_w0).min(jn - col);
+            let (o_d, o_h) = (a / oh, a % oh);
+            // Windows inside the grid along d and h for every tap: each tap
+            // reads one contiguous source stretch at a fixed offset from the
+            // anchor (zero-padded only at the w-edges).
+            let dh_inner =
+                sw == 1 && (din.0..din.1).contains(&o_d) && (hin.0..hin.1).contains(&o_h);
+            let anchor = ((o_d * sd * dh + o_h * sh) * dw + o_w0) as isize;
+            let rows = panel.chunks_exact_mut(nr).zip(deltas);
+            if !dh_inner {
+                for ((row, _), t) in rows.zip(taps) {
+                    self.gather_run(t, o_d, o_h, o_w0, &mut row[col..col + len]);
+                }
+            } else if o_w0 >= win.0 && o_w0 + len <= win.1 {
+                if len == nr {
+                    // Full-width run: a fixed-length copy the compiler turns
+                    // into vector moves.
+                    for (row, &d) in rows {
+                        let s0 = (anchor + d) as usize;
+                        row.copy_from_slice(&self.src[s0..s0 + nr]);
+                    }
+                } else {
+                    for (row, &d) in rows {
+                        let s0 = (anchor + d) as usize;
+                        row[col..col + len].copy_from_slice(&self.src[s0..s0 + len]);
+                    }
+                }
+            } else {
+                for ((row, &d), t) in rows.zip(taps) {
+                    let dst = &mut row[col..col + len];
+                    let lo = t.w.0.clamp(o_w0, o_w0 + len) - o_w0;
+                    let hi = t.w.1.clamp(o_w0 + lo, o_w0 + len) - o_w0;
+                    dst[..lo].fill(E::ZERO);
+                    if hi > lo {
+                        let s0 = (anchor + d + lo as isize) as usize;
+                        dst[lo..hi].copy_from_slice(&self.src[s0..s0 + (hi - lo)]);
+                    }
+                    dst[hi..].fill(E::ZERO);
+                }
+            }
+            col += len;
+        }
+    }
+}
+
+/// Implicit-GEMM convolution forward over anchor rows `[ar0, ar1)` of one
+/// sample: `Y[oc, :] = bias[oc] + W[oc, :] · im2col(X)[:, ar0·ow..ar1·ow]`
+/// without materializing the patch matrix.
+///
+/// `pa` is the packed `out_c × rows()` weight matrix and `src` one sample
+/// (`c × dims`). Output row `oc` is written to `dst[oc * ldc ..][..cols]`
+/// with `cols = (ar1 - ar0) · ow`, so the result can land directly in a
+/// band of a larger output tensor. Bitwise identical to [`im2col_range`]
+/// followed by [`mgd_tensor::matmul::gemm_prepacked`] and a bias pass.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_gemm<E: GemmElement>(
+    pa: &PackedA<E>,
+    g: &ConvGeom,
+    src: &[E],
+    ar0: usize,
+    ar1: usize,
+    dst: &mut [E],
+    ldc: usize,
+    bias: &[E],
+) {
+    assert_eq!(src.len(), g.c * g.vol());
+    assert_eq!(pa.k(), g.rows(), "weight columns must match patch rows");
+    let panels = PatchPanels::new(g, src, ar0);
+    gemm_prepacked_with(
+        pa,
+        &panels,
+        (ar1 - ar0) * g.out.2,
+        dst,
+        ldc,
+        false,
+        Some(bias),
+    );
 }
 
 /// Scatters the patch matrix `col` back onto `dst` (one sample,
@@ -296,24 +525,10 @@ pub(crate) const CHUNK_ELEMS: usize = 1 << 20;
 /// chunks of roughly [`CHUNK_ELEMS`] patch elements each, returned as an
 /// iterator of `(ar0, ar1)` ranges.
 pub(crate) fn anchor_chunks(g: &ConvGeom) -> impl Iterator<Item = (usize, usize)> {
-    anchor_chunks_range(g, 0, g.out.0 * g.out.1)
-}
-
-/// [`anchor_chunks`] restricted to anchor rows `[ar0, ar1)` — the chunking
-/// used by the slab-decomposed spatial forward, where each rank only
-/// computes its owned output rows. Chunk boundaries never change computed
-/// values (each output element is produced by one GEMM over the full
-/// shared dimension), so restricting the range preserves bitwise equality
-/// with the full-grid pass.
-pub(crate) fn anchor_chunks_range(
-    g: &ConvGeom,
-    ar0: usize,
-    ar1: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    let rows = ar1 - ar0;
+    let rows = g.out.0 * g.out.1;
     let per_row = g.rows() * g.out.2;
     let step = (CHUNK_ELEMS / per_row.max(1)).clamp(1, rows.max(1));
-    (0..rows.div_ceil(step)).map(move |i| (ar0 + i * step, (ar0 + (i + 1) * step).min(ar1)))
+    (0..rows.div_ceil(step)).map(move |i| (i * step, ((i + 1) * step).min(rows)))
 }
 
 /// Bias gradient `gb[oc] += Σ_{n,voxel} grad[n, oc, voxel]` shared by
@@ -498,6 +713,57 @@ mod tests {
         }
         for i in 0..whole_dst.len() {
             assert!((whole_dst[i] - chunk_dst[i]).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn implicit_gemm_spans_k_blocks_bitwise() {
+        // 16 channels × 3³ taps = 432 patch rows: two KC blocks, so the
+        // gather is asked for row windows that start mid-channel.
+        use mgd_tensor::matmul::{gemm_prepacked, pack_a};
+        for (g, out_c) in [
+            (
+                ConvGeom {
+                    c: 16,
+                    dims: (6, 7, 12),
+                    kernel: (3, 3, 3),
+                    stride: (1, 1, 1),
+                    padding: (1, 1, 1),
+                    out: (6, 7, 12),
+                },
+                8,
+            ),
+            (
+                ConvGeom {
+                    c: 32,
+                    dims: (1, 5, 37),
+                    kernel: (1, 3, 3),
+                    stride: (1, 1, 1),
+                    padding: (0, 1, 1),
+                    out: (1, 5, 37),
+                },
+                16,
+            ),
+        ] {
+            let src: Vec<f64> = (0..g.c * g.vol()).map(|i| (i as f64 * 0.3).sin()).collect();
+            let w: Vec<f64> = (0..out_c * g.rows())
+                .map(|i| (i as f64 * 0.7).cos())
+                .collect();
+            let bias: Vec<f64> = (0..out_c).map(|i| i as f64 * 0.125 - 0.5).collect();
+            let pa = pack_a(&w, out_c, g.rows(), false);
+            let rows = g.out.0 * g.out.1;
+            for (ar0, ar1) in [(0, rows), (1, 2), (2, rows - 1)] {
+                let cols = (ar1 - ar0) * g.out.2;
+                let mut col = vec![0.0; g.rows() * cols];
+                im2col_range(&g, &src, &mut col, ar0, ar1);
+                let mut want = vec![0.0; out_c * cols];
+                gemm_prepacked(&pa, &col, false, &mut want, cols, false);
+                let mut got = vec![0.0; out_c * cols];
+                conv_gemm(&pa, &g, &src, ar0, ar1, &mut got, cols, &bias);
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(a.to_bits(), (bias[i / cols] + b).to_bits(), "{g:?} [{i}]");
+                }
+            }
         }
     }
 

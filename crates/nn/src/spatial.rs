@@ -16,7 +16,7 @@
 //! — one plane for the U-Net's 3×3×3 blocks. [`infer_slab`] therefore
 //! exchanges one halo plane per side before each `Conv3d` (encoder,
 //! bottleneck and merge blocks) and computes **only the owned output
-//! planes** through the restricted im2col/GEMM lowering
+//! planes** through the restricted implicit-GEMM lowering
 //! ([`Conv3d::infer_planes_into`]). Every owned output element then sees
 //! exactly the operand values the serial pass sees, in the same
 //! accumulation order, so the assembled result is **bitwise identical** to
@@ -67,21 +67,22 @@
 //! tensor-sized transient of its own.
 //!
 //! Per-rank activation memory is modeled by [`activation_peak_elems_opts`]
-//! (live-tensor peak, per mode); [`measured_peak_elems`] reports the
-//! instrumented live peak of the most recent [`infer_slab`] walks so
-//! serving harnesses can check the model against reality.
+//! (live-tensor peak, per mode); each walk also meters its live
+//! activations on the rank's [`Workspace`]
+//! ([`Workspace::measured_peak_elems`]) so serving harnesses can check the
+//! model against reality.
 
 use crate::conv::Conv3d;
 use crate::layer::Dims5;
 use crate::unet::{concat_channels, ConvBlock, UNet, UNetConfig};
-use crate::workspace::Workspace;
+use crate::workspace::{PeakMeter, Workspace};
 use mgd_dist::{
     carve_planes, exchange_extend, exchange_post, place_planes, Comm, HaloElement, SlabLayout,
 };
 use mgd_tensor::{GemmElement, Tensor};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which NCDHW axis a spatial decomposition splits.
 ///
@@ -173,42 +174,6 @@ impl Default for SlabOpts {
     }
 }
 
-/// Instrumented per-rank live-activation peak (elements) since the last
-/// [`reset_measured_peak`], maxed across every [`infer_slab`] walk of
-/// every rank.
-static MEASURED_PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// Resets the instrumented activation-peak tracker.
-pub fn reset_measured_peak() {
-    MEASURED_PEAK.store(0, Ordering::Relaxed);
-}
-
-/// Largest per-rank live-activation element count any [`infer_slab`] walk
-/// reached since the last [`reset_measured_peak`]. Counts the same tensor
-/// population as [`activation_peak_elems_opts`] (activations only — no
-/// weights, GEMM workspace, or assembled I/O fields), so the model can be
-/// asserted against it.
-pub fn measured_peak_elems() -> usize {
-    MEASURED_PEAK.load(Ordering::Relaxed)
-}
-
-/// Running live-element counter for one rank's walk.
-#[derive(Default)]
-struct PeakMeter {
-    live: usize,
-}
-
-impl PeakMeter {
-    fn alloc(&mut self, elems: usize) {
-        self.live += elems;
-        MEASURED_PEAK.fetch_max(self.live, Ordering::Relaxed);
-    }
-
-    fn free(&mut self, elems: usize) {
-        self.live = self.live.saturating_sub(elems);
-    }
-}
-
 /// Halo width and owned split extent of a `same` stencil conv on `d`.
 fn conv_halo<E: mgd_tensor::Element>(
     conv: &Conv3d<E>,
@@ -283,14 +248,13 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
     tag: &mut u64,
     ws: &mut Workspace<E>,
     opts: &SlabOpts,
-    meter: &mut PeakMeter,
 ) -> Tensor<E> {
     let d = Dims5::of(x);
     let (halo, own) = conv_halo(conv, &d, axis);
     if comm.size() == 1 || halo == 0 {
         // No neighbours (or no reach): the slab is self-contained.
         let y = conv.infer(x, ws);
-        meter.alloc(y.len());
+        ws.meter.alloc(y.len());
         return y;
     }
     let t = *tag;
@@ -308,7 +272,7 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
             SplitAxis::Height => vec![d.n, conv.out_c, 1, own, d.w],
         };
         let mut y: Tensor<E> = Tensor::zeros(odims);
-        meter.alloc(y.len());
+        ws.meter.alloc(y.len());
         conv.infer_planes_into(x, lo..own - hi, axis, &mut y, lo, ws);
         // Boundary bands on arrival: each band input is the received halo
         // plus the 2·halo nearest owned planes, and its `halo..2·halo`
@@ -317,15 +281,15 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
         let (below, above) = pending.finish(comm);
         if let Some(below) = below {
             let band = band_tensor(x, &layout, axis, &d, halo, &below, true);
-            meter.alloc(band.len());
+            ws.meter.alloc(band.len());
             conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, 0, ws);
-            meter.free(band.len());
+            ws.meter.free(band.len());
         }
         if let Some(above) = above {
             let band = band_tensor(x, &layout, axis, &d, halo, &above, false);
-            meter.alloc(band.len());
+            ws.meter.alloc(band.len());
             conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, own - halo, ws);
-            meter.free(band.len());
+            ws.meter.free(band.len());
         }
         return y;
     }
@@ -338,10 +302,10 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
         SplitAxis::Height => vec![d.n, d.c, 1, lo + d.h + hi, d.w],
     };
     let x_ext = Tensor::from_vec(ext_dims, ext.data);
-    meter.alloc(x_ext.len());
+    ws.meter.alloc(x_ext.len());
     let y = conv.infer_planes(&x_ext, lo..lo + own, axis, ws);
-    meter.alloc(y.len());
-    meter.free(x_ext.len());
+    ws.meter.alloc(y.len());
+    ws.meter.free(x_ext.len());
     y
 }
 
@@ -358,13 +322,12 @@ fn halo_block_infer<E: GemmElement + HaloElement>(
     tag: &mut u64,
     ws: &mut Workspace<E>,
     opts: &SlabOpts,
-    meter: &mut PeakMeter,
 ) -> Tensor<E> {
-    let mut h = halo_conv_infer(&block.conv, &x, comm, axis, tag, ws, opts, meter);
+    let mut h = halo_conv_infer(&block.conv, &x, comm, axis, tag, ws, opts);
     // The input is dead once the stencil has consumed it; dropping it here
     // (instead of after the block returns) keeps the fused bn/act pass
     // from holding input + conv output resident at once.
-    meter.free(x.len());
+    ws.meter.free(x.len());
     drop(x);
     // Batch norm + activation fused into one in-place walk over the conv
     // output — bitwise identical to the two-tensor pipeline, but with no
@@ -546,64 +509,46 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
     net.check_input_dims(&d);
     let depth = net.cfg.depth;
     let mut tag = 0u64;
-    let mut meter = PeakMeter::default();
+    ws.meter.begin();
     let mut h = slab.clone();
-    meter.alloc(h.len());
+    ws.meter.alloc(h.len());
     let mut skips: Vec<Skip<E>> = Vec::with_capacity(depth);
     for i in 0..depth {
-        h = halo_block_infer(&net.enc[i], h, comm, axis, &mut tag, ws, opts, &mut meter);
+        h = halo_block_infer(&net.enc[i], h, comm, axis, &mut tag, ws, opts);
         match &opts.spill_dir {
             // Streaming mode: the skip goes to scratch now and comes back
             // right before its decoder level — no resident copy retained.
             Some(dir) => skips.push(Skip::spill(&h, dir, comm.rank())),
             None => {
                 skips.push(Skip::Resident(h.clone()));
-                meter.alloc(h.len());
+                ws.meter.alloc(h.len());
             }
         }
         let pooled = net.pools[i].infer(&h);
-        meter.alloc(pooled.len());
-        meter.free(h.len());
+        ws.meter.alloc(pooled.len());
+        ws.meter.free(h.len());
         h = pooled;
     }
-    h = halo_block_infer(
-        &net.bottleneck,
-        h,
-        comm,
-        axis,
-        &mut tag,
-        ws,
-        opts,
-        &mut meter,
-    );
+    h = halo_block_infer(&net.bottleneck, h, comm, axis, &mut tag, ws, opts);
     for i in (0..depth).rev() {
         let up = net.ups[i].infer(&h, ws);
-        meter.alloc(up.len());
-        meter.free(h.len());
+        ws.meter.alloc(up.len());
+        ws.meter.free(h.len());
         h = up;
         // Consume (not borrow) the skip so its slab is freed immediately —
         // the decoder's contribution to the per-rank memory bound.
         let skip = skips.pop().expect("one skip per level");
-        h = concat_skip(h, skip, &mut meter);
-        h = halo_block_infer(
-            &net.merges[i],
-            h,
-            comm,
-            axis,
-            &mut tag,
-            ws,
-            opts,
-            &mut meter,
-        );
+        h = concat_skip(h, skip, &mut ws.meter);
+        h = halo_block_infer(&net.merges[i], h, comm, axis, &mut tag, ws, opts);
     }
     let head = net.head.infer(&h, ws);
-    meter.alloc(head.len());
-    meter.free(h.len());
+    ws.meter.alloc(head.len());
+    ws.meter.free(h.len());
     h = head;
     if let Some(s) = &net.sigmoid {
         let out = s.infer(&h);
-        meter.alloc(out.len());
-        meter.free(h.len());
+        ws.meter.alloc(out.len());
+        ws.meter.free(h.len());
         h = out;
     }
     h
@@ -642,8 +587,8 @@ pub fn activation_peak_elems(
 /// mode) level by level; it is an activation model, not an allocator
 /// trace — weights, GEMM scratch and the assembled I/O fields are
 /// excluded. Multiply by the element byte width for bytes. The walk's
-/// instrumented counterpart is [`measured_peak_elems`], which never
-/// exceeds this model.
+/// instrumented counterpart is [`Workspace::measured_peak_elems`], which
+/// never exceeds this model.
 pub fn activation_peak_elems_opts(
     cfg: &UNetConfig,
     batch: usize,
@@ -763,7 +708,7 @@ mod tests {
         dims: [usize; 3],
         p: usize,
         opts: &SlabOpts,
-    ) {
+    ) -> usize {
         let mut reference = net(two_d, depth, 42);
         let mut rng = StdRng::seed_from_u64(7);
         let x = Tensor::rand_uniform(vec![2, 1, dims[0], dims[1], dims[2]], -1.0, 1.0, &mut rng);
@@ -787,11 +732,14 @@ mod tests {
             .collect();
         let results = mgd_dist::launch_with(jobs, |comm, (slab, owned)| {
             let mut ws = Workspace::new();
-            (owned, infer_slab(&shared, &slab, &comm, &mut ws, opts))
+            let out = infer_slab(&shared, &slab, &comm, &mut ws, opts);
+            (owned, out, ws.measured_peak_elems())
         });
         // Stitch owned output slabs and compare bitwise.
         let out_layout = axis.layout(&Dims5::of(&serial));
-        for (owned, out) in results {
+        let mut peak = 0;
+        for (owned, out, rank_peak) in results {
+            peak = peak.max(rank_peak);
             let expect = carve_planes(serial.as_slice(), &out_layout, owned.start, owned.end);
             assert_eq!(out.as_slice().len(), expect.len());
             for (i, (a, b)) in out.as_slice().iter().zip(&expect).enumerate() {
@@ -803,6 +751,7 @@ mod tests {
                 );
             }
         }
+        peak
     }
 
     #[test]
@@ -1009,9 +958,8 @@ mod tests {
                 "spill",
             ),
         ] {
-            reset_measured_peak();
-            spatial_matches_serial(false, 2, [16, 8, 4], 2, &opts);
-            let measured = measured_peak_elems();
+            // The largest reading over the ranks' own workspaces.
+            let measured = spatial_matches_serial(false, 2, [16, 8, 4], 2, &opts);
             // Per-rank slab: 8 planes, interior rank has 2 halo sides.
             let cfg = UNetConfig {
                 depth: 2,

@@ -43,14 +43,44 @@ use mgd_tensor::Element;
 /// model it serves: `Workspace` (= `Workspace<f64>`) for the default
 /// double-precision path, `Workspace<f32>` for the single-precision
 /// serving fast path (half the scratch bytes per chunk).
+///
+/// A workspace also carries the live-activation meter of the
+/// slab-decomposed forward ([`crate::infer_slab`]): each walk run on it
+/// counts the activations it holds, and [`Workspace::measured_peak_elems`]
+/// reports the largest count any of them reached. The meter belongs to
+/// the workspace (one per rank), so concurrent walks never disturb each
+/// other's readings.
 #[derive(Debug, Default)]
 pub struct Workspace<E: Element = f64> {
-    /// Patch-matrix chunk (im2col gather target / col2im source).
+    /// Patch-matrix chunk (col2im source of the transpose convolution).
     pub(crate) col: Vec<E>,
-    /// GEMM output chunk before it is scattered into the strided result.
-    pub(crate) ctmp: Vec<E>,
     /// Contiguous copy of a strided row-chunk operand.
     pub(crate) tmp: Vec<E>,
+    /// Live-activation meter of the slab walks run on this workspace.
+    pub(crate) meter: PeakMeter,
+}
+
+/// Running live-element counter of slab walks, with the peak it reached.
+#[derive(Debug, Default)]
+pub(crate) struct PeakMeter {
+    live: usize,
+    peak: usize,
+}
+
+impl PeakMeter {
+    /// Starts a new walk: nothing is live yet (the peak is kept).
+    pub(crate) fn begin(&mut self) {
+        self.live = 0;
+    }
+
+    pub(crate) fn alloc(&mut self, elems: usize) {
+        self.live += elems;
+        self.peak = self.peak.max(self.live);
+    }
+
+    pub(crate) fn free(&mut self, elems: usize) {
+        self.live = self.live.saturating_sub(elems);
+    }
 }
 
 impl<E: Element> Workspace<E> {
@@ -61,7 +91,7 @@ impl<E: Element> Workspace<E> {
 
     /// Total scratch elements currently held (capacity diagnostics).
     pub fn len(&self) -> usize {
-        self.col.len() + self.ctmp.len() + self.tmp.len()
+        self.col.len() + self.tmp.len()
     }
 
     /// Whether no scratch has been allocated yet.
@@ -70,11 +100,19 @@ impl<E: Element> Workspace<E> {
     }
 
     /// Drops all held buffers (e.g. after serving an unusually large
-    /// request, to return the memory).
+    /// request, to return the memory). The activation meter is kept.
     pub fn reset(&mut self) {
         self.col = Vec::new();
-        self.ctmp = Vec::new();
         self.tmp = Vec::new();
+    }
+
+    /// Largest live-activation element count any [`crate::infer_slab`]
+    /// walk on this workspace reached. Counts the same tensor
+    /// population as [`crate::activation_peak_elems_opts`] (activations
+    /// only — no weights, GEMM scratch, or assembled I/O fields), so the
+    /// model can be asserted against it.
+    pub fn measured_peak_elems(&self) -> usize {
+        self.meter.peak
     }
 }
 
@@ -90,5 +128,20 @@ mod tests {
         assert_eq!(ws.len(), 16);
         ws.reset();
         assert!(ws.is_empty());
+    }
+
+    #[test]
+    fn meter_keeps_the_peak_across_walks() {
+        let mut ws = Workspace::<f64>::new();
+        ws.meter.begin();
+        ws.meter.alloc(10);
+        ws.meter.free(4);
+        ws.meter.alloc(2);
+        assert_eq!(ws.measured_peak_elems(), 10);
+        ws.meter.begin();
+        ws.meter.alloc(12);
+        assert_eq!(ws.measured_peak_elems(), 12);
+        ws.reset();
+        assert_eq!(ws.measured_peak_elems(), 12, "reset drops buffers only");
     }
 }

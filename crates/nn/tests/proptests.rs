@@ -2,15 +2,17 @@
 
 use mgd_dist::{carve_planes, launch_with, SlabPartition};
 use mgd_nn::layer::Dims5;
+use mgd_nn::lowering::{conv_gemm, im2col_range, ConvGeom};
 use mgd_nn::unet::{concat_channels, split_channels};
 use mgd_nn::{
     predict_slab, Adam, Conv3d, ConvBackend, ConvTranspose3d, Layer, MaxPool3d, Optimizer, Param,
     Sigmoid, SplitAxis, UNet, UNetConfig,
 };
-use mgd_tensor::Tensor;
+use mgd_tensor::matmul::{gemm_prepacked, pack_a};
+use mgd_tensor::{GemmElement, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Forward + backward a layer pair (identical weights, different backends)
 /// on the same input/cotangent and assert every output and accumulated
@@ -41,6 +43,61 @@ fn assert_backends_equivalent<L: Layer + Clone>(mut direct: L, mut gemm: L, x: &
             "param {i} grad diverges: {}",
             a.rel_l2_error(b)
         );
+    }
+}
+
+/// Asserts the implicit-gather conv GEMM equals `im2col_range` +
+/// `gemm_prepacked` + a bias pass bit for bit on anchor rows `[ar0, ar1)`.
+fn assert_implicit_matches_im2col<E: GemmElement>(
+    g: &ConvGeom,
+    out_c: usize,
+    ar0: usize,
+    ar1: usize,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rand = |len: usize, rng: &mut StdRng| -> Vec<E> {
+        (0..len)
+            .map(|_| E::from_f64(rng.gen_range(-1.0..1.0)))
+            .collect()
+    };
+    let src = rand(g.c * g.vol(), &mut rng);
+    let w = rand(out_c * g.rows(), &mut rng);
+    let bias = rand(out_c, &mut rng);
+    let pa = pack_a(&w, out_c, g.rows(), false);
+    let cols = (ar1 - ar0) * g.out.2;
+    let mut col = vec![E::ZERO; g.rows() * cols];
+    im2col_range(g, &src, &mut col, ar0, ar1);
+    let mut prod = vec![E::ZERO; out_c * cols];
+    gemm_prepacked(&pa, &col, false, &mut prod, cols, false);
+    // Land the implicit product in a wider matrix to exercise the row
+    // stride; the gap columns must stay untouched.
+    let ldc = cols + 3;
+    let sentinel = E::from_f64(7.25);
+    let mut got = vec![sentinel; out_c * ldc];
+    conv_gemm(&pa, g, &src, ar0, ar1, &mut got, ldc, &bias);
+    for oc in 0..out_c {
+        for j in 0..ldc {
+            let have = got[oc * ldc + j];
+            let want = if j < cols {
+                bias[oc] + prod[oc * cols + j]
+            } else {
+                sentinel
+            };
+            assert!(
+                have.bits() == want.bits(),
+                "{} {:?} out_c={} rows {}..{} [{}, {}]: {} vs {}",
+                E::NAME,
+                g,
+                out_c,
+                ar0,
+                ar1,
+                oc,
+                j,
+                have,
+                want
+            );
+        }
     }
 }
 
@@ -148,6 +205,49 @@ proptest! {
         let gemm = direct.clone().with_backend(ConvBackend::Gemm);
         let x = Tensor::rand_uniform([n, cin, d, hw, hw], -1.0, 1.0, &mut rng);
         assert_backends_equivalent(direct, gemm, &x, 1e-10);
+    }
+
+    /// The implicit-gather conv GEMM is bitwise equal to materializing the
+    /// patch matrix with `im2col_range` and multiplying it, at both
+    /// elements: random kernels 1–3, strides 1–2, paddings 0–1 and 1–5
+    /// channels per axis, widths on both sides of the `NR` tile (and not
+    /// multiples of it), over one anchor row or a slab of rows.
+    #[test]
+    fn implicit_gather_matches_im2col_bitwise(
+        c in 1usize..6, out_c in 1usize..18,
+        kd in 1usize..4, kh in 1usize..4, kw in 1usize..4,
+        sd in 1usize..3, sh in 1usize..3, sw in 1usize..3,
+        pd in 0usize..2, ph in 0usize..2, pw in 0usize..2,
+        d_extra in 0usize..3, h_extra in 0usize..4, w in 1usize..41,
+        single_row in 0usize..2, r0 in 0usize..64, r1 in 0usize..64, seed in 0u64..1000,
+    ) {
+        let dims = (
+            (kd.saturating_sub(2 * pd)).max(1) + d_extra,
+            (kh.saturating_sub(2 * ph)).max(1) + h_extra,
+            w.max(kw.saturating_sub(2 * pw)).max(1),
+        );
+        let out = |i: usize, k: usize, s: usize, p: usize| (i + 2 * p - k) / s + 1;
+        let g = ConvGeom {
+            c,
+            dims,
+            kernel: (kd, kh, kw),
+            stride: (sd, sh, sw),
+            padding: (pd, ph, pw),
+            out: (
+                out(dims.0, kd, sd, pd),
+                out(dims.1, kh, sh, ph),
+                out(dims.2, kw, sw, pw),
+            ),
+        };
+        let rows = g.out.0 * g.out.1;
+        let (ar0, ar1) = if single_row == 1 {
+            (r0 % rows, r0 % rows + 1)
+        } else {
+            let (a, b) = (r0 % (rows + 1), r1 % (rows + 1));
+            if a == b { (0, rows) } else { (a.min(b), a.max(b)) }
+        };
+        assert_implicit_matches_im2col::<f64>(&g, out_c, ar0, ar1, seed);
+        assert_implicit_matches_im2col::<f32>(&g, out_c, ar0, ar1, seed);
     }
 
     /// Same equivalence for the transpose convolution (the decoder path),

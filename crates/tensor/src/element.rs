@@ -37,8 +37,8 @@ pub const F64_DIV_GUARD: f64 = 1e-300;
 ///
 /// This is the user-facing knob the element-generic kernels hide behind:
 ///
-/// - [`Precision::F64`] — every path runs in `f64`, bitwise identical to
-///   the pre-refactor code. The default.
+/// - [`Precision::F64`] — every path runs in `f64` (the reference
+///   behavior). The default.
 /// - [`Precision::F32`] — *serving* forward passes run single precision
 ///   (f32 weights, activations and cached predictions: half the memory
 ///   traffic, twice the SIMD lanes). Training, certified solving and every
@@ -249,12 +249,23 @@ impl Element for f32 {
 /// An [`Element`] with blocked-GEMM tuning parameters and a register-tiled
 /// micro-kernel.
 ///
-/// The tile geometry is chosen per precision for the same register budget:
-/// with 32 SIMD registers of width `W` lanes, an `MR × NR` tile needs
-/// `MR · NR / W` accumulator registers plus a broadcast and `NR / W` loads.
-/// `f64` uses `6 × 16` (12 accumulators at 8 lanes); `f32` doubles the tile
-/// width to `6 × 32` (still 12 accumulators at 16 lanes), doubling the
-/// FLOPs per loaded byte along with the lane count.
+/// The tile geometry is chosen per precision and per target for the same
+/// register budget: an `MR × NR` tile needs `MR · NR / W` accumulator
+/// registers (`W` lanes each) plus the `NR / W` loads of a B row and one
+/// broadcast of A.
+///
+/// - **AVX-512 builds** (`target_feature = "avx512f"`, which the repo's
+///   `target-cpu=native` build enables on such hosts) run explicit
+///   `std::arch` FMA kernels with an **8-row** tile: `8 × 16` for `f64`
+///   and `8 × 32` for `f32`, 16 of the 32 `zmm` registers holding
+///   accumulators. Eight rows means the U-Net's channel counts
+///   (8, 16, 32, 64) fill every tile without padded rows.
+/// - **Every other build** keeps the portable auto-vectorized body:
+///   `6 × 16` for `f64` and `6 × 32` for `f32` (12 accumulators).
+///
+/// Either choice is made at compile time, so results are bitwise
+/// deterministic within one build; [`GemmElement::FUSED`] says whether the
+/// kernel rounds each multiply-add once (FMA) or twice.
 pub trait GemmElement: Element {
     /// Micro-kernel tile rows (rows of `op(A)` per register tile).
     const MR: usize;
@@ -265,21 +276,29 @@ pub trait GemmElement: Element {
     const KC: usize;
     /// Columns per parallel job (one packed `KC × NC` B slab sized for L2).
     const NC: usize;
+    /// Whether the micro-kernel computes each step as one fused
+    /// multiply-add (`acc = a.mul_add(b, acc)`) rather than `acc += a * b`.
+    const FUSED: bool;
 
     /// Computes a full `MR × NR` register tile over `kc_len` packed steps:
-    /// `acc[mr * NR + nr] = Σ_k apanel[k*MR + mr] * bpanel[k*NR + nr]`.
+    /// `acc[mr * NR + nr] = Σ_k apanel[k*MR + mr] * bpanel[k*NR + nr]`,
+    /// summed in increasing `k` (fused per step when [`Self::FUSED`]).
     ///
     /// `acc` (length `MR * NR`, row-major) is fully overwritten. Each
-    /// implementation accumulates in a fixed-size local array with a fixed
-    /// loop order, so results are bitwise deterministic.
+    /// implementation accumulates in fixed registers with a fixed loop
+    /// order, so results are bitwise deterministic.
     fn microkernel(kc_len: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]);
 }
+
+/// Whether this build runs the explicit AVX-512 FMA micro-kernels.
+const AVX512: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"));
 
 /// Expands to a monomorphic micro-kernel body; keeping the accumulator as a
 /// `[[E; NR]; MR]` local (not a slice) is what lets the auto-vectorizer map
 /// the tile onto SIMD registers.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 macro_rules! microkernel_body {
-    ($e:ty, $mr:expr, $nr:expr, $kc_len:ident, $apanel:ident, $bpanel:ident, $acc:ident) => {{
+    ($e:ty, $mr:expr, $nr:expr, $kc_len:ident, $apanel:ident, $bpanel:ident, $acc:ident, $step:expr) => {{
         const MR: usize = $mr;
         const NR: usize = $nr;
         let mut tile = [[<$e as Element>::ZERO; NR]; MR];
@@ -293,7 +312,7 @@ macro_rules! microkernel_body {
                 let a = avals[mr];
                 let row = &mut tile[mr];
                 for nr in 0..NR {
-                    row[nr] += a * bvals[nr];
+                    row[nr] = $step(a, bvals[nr], row[nr]);
                 }
             }
         }
@@ -303,65 +322,144 @@ macro_rules! microkernel_body {
     }};
 }
 
+/// The explicit AVX-512 FMA micro-kernels: an 8-row tile of two `zmm`
+/// accumulators per row, one broadcast of A per row and two loads of B per
+/// `k` step.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    /// Expands to the 8 × (2 vectors) FMA loop for one element type.
+    macro_rules! fma_tile {
+        ($kc_len:ident, $apanel:ident, $bpanel:ident, $acc:ident, $lanes:expr,
+         $zero:ident, $load:ident, $set1:ident, $fmadd:ident, $store:ident) => {{
+            const MR: usize = 8;
+            const NR: usize = 2 * $lanes;
+            let a = &$apanel[..$kc_len * MR];
+            let b = &$bpanel[..$kc_len * NR];
+            assert!($acc.len() >= MR * NR);
+            let mut c = [[$zero(); 2]; MR];
+            for k in 0..$kc_len {
+                // SAFETY: `b` holds `kc_len * NR` elements, so both loads
+                // of row `k` are in bounds; `avx512f` is a compile-time
+                // target feature of this build.
+                let (b0, b1) = unsafe {
+                    let p = b.as_ptr().add(k * NR);
+                    ($load(p), $load(p.add($lanes)))
+                };
+                let arow = &a[k * MR..k * MR + MR];
+                for r in 0..MR {
+                    let av = $set1(arow[r]);
+                    c[r][0] = $fmadd(av, b0, c[r][0]);
+                    c[r][1] = $fmadd(av, b1, c[r][1]);
+                }
+            }
+            for r in 0..MR {
+                // SAFETY: `acc` holds at least `MR * NR` elements (asserted).
+                unsafe {
+                    let p = $acc.as_mut_ptr().add(r * NR);
+                    $store(p, c[r][0]);
+                    $store(p.add($lanes), c[r][1]);
+                }
+            }
+        }};
+    }
+
+    /// `f64` 8 × 16 tile.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn f64_8x16(kc_len: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [f64]) {
+        fma_tile!(
+            kc_len,
+            apanel,
+            bpanel,
+            acc,
+            8,
+            _mm512_setzero_pd,
+            _mm512_loadu_pd,
+            _mm512_set1_pd,
+            _mm512_fmadd_pd,
+            _mm512_storeu_pd
+        );
+    }
+
+    /// `f32` 8 × 32 tile.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn f32_8x32(kc_len: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [f32]) {
+        fma_tile!(
+            kc_len,
+            apanel,
+            bpanel,
+            acc,
+            16,
+            _mm512_setzero_ps,
+            _mm512_loadu_ps,
+            _mm512_set1_ps,
+            _mm512_fmadd_ps,
+            _mm512_storeu_ps
+        );
+    }
+}
+
 impl GemmElement for f64 {
-    const MR: usize = 6;
+    const MR: usize = if AVX512 { 8 } else { 6 };
     const NR: usize = 16;
     const KC: usize = 256;
     const NC: usize = 256;
+    const FUSED: bool = AVX512;
 
     #[inline(always)]
     fn microkernel(kc_len: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]) {
-        microkernel_body!(f64, 6, 16, kc_len, apanel, bpanel, acc);
+        // SAFETY: this arm only compiles when `avx512f` is a target feature
+        // of the whole build.
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        unsafe {
+            avx512::f64_8x16(kc_len, apanel, bpanel, acc)
+        };
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+        microkernel_body!(f64, 6, 16, kc_len, apanel, bpanel, acc, |a: f64, b, c| c
+            + a * b);
     }
 }
 
 impl GemmElement for f32 {
-    // Twice the tile width of f64: same 12 accumulator registers on an
-    // AVX-512 machine (6 rows × 32 cols / 16 lanes), but a KC×NR B panel
-    // is still 32 KiB — L1-resident. NC doubles so a packed B slab stays
-    // the same 512 KiB in bytes.
-    const MR: usize = 6;
+    // Twice the tile width of f64 for the same accumulator count, while a
+    // KC×NR B panel is still 32 KiB — L1-resident. NC doubles so a packed
+    // B slab stays the same 512 KiB in bytes.
+    const MR: usize = if AVX512 { 8 } else { 6 };
     const NR: usize = 32;
     const KC: usize = 256;
     const NC: usize = 512;
+    const FUSED: bool = AVX512 || cfg!(target_feature = "fma");
 
-    // `inline(never)`, unlike the f64 kernel: whether LLVM vectorizes the
-    // `mul_add` loop turns out to depend on the surrounding inlining
-    // context — fused into `compute_cols` inside an rlib it has been seen
-    // to lower to *scalar* FMA (~3× slower end to end through a
-    // `share_f32()` vtable) while the same source vectorized fine when
-    // monomorphized in a leaf crate. Compiling the kernel as a standalone
-    // function makes its codegen context-independent; the call costs ~100k
-    // flops of work, so the overhead is noise.
+    // `inline(never)`: whether LLVM vectorizes the portable `mul_add` loop
+    // turns out to depend on the surrounding inlining context — fused into
+    // `compute_cols` inside an rlib it has been seen to lower to *scalar*
+    // FMA (~3× slower end to end through a `share_f32()` vtable) while the
+    // same source vectorized fine when monomorphized in a leaf crate.
+    // Compiling the kernel as a standalone function makes its codegen
+    // context-independent; the call costs ~100k flops of work, so the
+    // overhead is noise.
     #[inline(never)]
     fn microkernel(kc_len: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]) {
+        // SAFETY: as for the f64 kernel.
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        unsafe {
+            avx512::f32_8x32(kc_len, apanel, bpanel, acc)
+        };
         // LLVM refuses to contract `acc += a * b` into FMA for f32 (and the
-        // separate mul/add form also vectorizes poorly here — measured ~4
-        // GFLOP/s vs ~94 with explicit FMA on an AVX-512 host). Spell the
+        // separate mul/add form also vectorizes poorly here). Spell the
         // fused form out when the target has hardware FMA; without it,
         // `f32::mul_add` would lower to a libm call per lane, so fall back
-        // to the contractible form instead. Either branch is chosen at
-        // compile time, so results stay bitwise deterministic per build.
+        // to the contractible form instead.
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
         if cfg!(target_feature = "fma") {
-            const MR: usize = 6;
-            const NR: usize = 32;
-            let mut tile = [[0.0f32; NR]; MR];
-            let a_steps = apanel[..kc_len * MR].chunks_exact(MR);
-            let b_steps = bpanel[..kc_len * NR].chunks_exact(NR);
-            for (avals, bvals) in a_steps.zip(b_steps) {
-                for mr in 0..MR {
-                    let a = avals[mr];
-                    let row = &mut tile[mr];
-                    for nr in 0..NR {
-                        row[nr] = a.mul_add(bvals[nr], row[nr]);
-                    }
-                }
-            }
-            for mr in 0..MR {
-                acc[mr * NR..mr * NR + NR].copy_from_slice(&tile[mr]);
-            }
+            microkernel_body!(f32, 6, 32, kc_len, apanel, bpanel, acc, |a: f32, b, c| a
+                .mul_add(b, c));
         } else {
-            microkernel_body!(f32, 6, 32, kc_len, apanel, bpanel, acc);
+            microkernel_body!(f32, 6, 32, kc_len, apanel, bpanel, acc, |a: f32, b, c| c
+                + a * b);
         }
     }
 }
@@ -389,20 +487,30 @@ mod tests {
     #[test]
     fn microkernel_matches_naive_dot() {
         fn check<E: GemmElement>() {
-            let kc = 7;
+            // Inexact products, so a fused and an unfused step round
+            // differently and the reference must match the kernel's form.
+            let kc = 37;
             let apanel: Vec<E> = (0..kc * E::MR)
-                .map(|i| E::from_f64((i % 5) as f64 - 2.0))
+                .map(|i| E::from_f64((i as f64 * 0.37).sin()))
                 .collect();
             let bpanel: Vec<E> = (0..kc * E::NR)
-                .map(|i| E::from_f64((i % 3) as f64 * 0.5))
+                .map(|i| E::from_f64((i as f64 * 0.73).cos()))
                 .collect();
             let mut acc = vec![E::from_f64(99.0); E::MR * E::NR];
             E::microkernel(kc, &apanel, &bpanel, &mut acc);
             for mr in 0..E::MR {
                 for nr in 0..E::NR {
+                    // The reference rounds exactly like the kernel: one
+                    // fused step per k on the FMA path, mul then add
+                    // otherwise.
                     let mut want = E::ZERO;
                     for k in 0..kc {
-                        want += apanel[k * E::MR + mr] * bpanel[k * E::NR + nr];
+                        let (a, b) = (apanel[k * E::MR + mr], bpanel[k * E::NR + nr]);
+                        want = if E::FUSED {
+                            a.mul_add(b, want)
+                        } else {
+                            want + a * b
+                        };
                     }
                     assert_eq!(acc[mr * E::NR + nr], want, "{} ({mr},{nr})", E::NAME);
                 }

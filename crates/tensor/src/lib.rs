@@ -11,7 +11,7 @@
 //! - **Generic element type** behind the [`Element`] trait: `f64` (the
 //!   default — training, master weights, certification) and `f32` (the
 //!   SIMD serving fast path with twice the lanes and half the working
-//!   set). The `f64` instantiation is bit-for-bit the pre-generic code.
+//!   set).
 //! - **NCDHW layout convention** for network activations: `(batch, channel,
 //!   depth, height, width)`. 2D problems use `depth == 1`.
 //! - **Parallelism with a sequential fallback**: elementwise kernels switch

@@ -2,10 +2,10 @@
 //! element type.
 //!
 //! This is the single compute kernel the convolution layers of `mgd-nn`
-//! lower onto (im2col / col2im): `C = op(A) · op(B)` with optional
-//! accumulation into `C`. The design follows the classic GotoBLAS/BLIS
-//! decomposition, scaled to this workspace's shapes (a small-ish left
-//! operand — a weight matrix — times a wide patch matrix):
+//! lower onto: `C = op(A) · op(B)` with optional accumulation into `C`.
+//! The design follows the classic GotoBLAS/BLIS decomposition, scaled to
+//! this workspace's shapes (a small-ish left operand — a weight matrix —
+//! times a wide patch matrix):
 //!
 //! - **Packing**: `op(A)` is packed once into column-major micro-panels of
 //!   `E::MR` rows ([`PackedA`], reusable across a whole mini-batch via
@@ -13,12 +13,20 @@
 //!   into row-major micro-panels of `E::NR` columns. Packing makes every
 //!   micro-kernel read sequential regardless of the logical layout, and
 //!   absorbs both transposes and edge-tile zero padding.
+//! - **One loop nest, two B-panel sources** ([`PanelSource`]): the panels
+//!   are filled either from a stored matrix (every [`gemm`] /
+//!   [`gemm_prepacked`] call) or by a caller-supplied filler through
+//!   [`gemm_prepacked_with`] — the convolution forward gathers its patch
+//!   panels straight from the activation there (implicit GEMM), so the
+//!   patch matrix is never materialized. The filler only decides where
+//!   the panel values come from; the k-order of every sum is the same.
 //! - **Register tiling**: the micro-kernel accumulates an `MR × NR` tile in
-//!   local accumulators over an `E::KC`-long stretch of the shared
-//!   dimension, so each loaded element is reused `MR` (or `NR`) times. The
-//!   tile geometry is per-precision ([`GemmElement`]): `f32` runs a tile
-//!   twice as wide as `f64` for the same register budget, which is where
-//!   its ~2× GEMM ceiling comes from.
+//!   registers over an `E::KC`-long stretch of the shared dimension, so
+//!   each loaded element is reused `MR` (or `NR`) times. The tile geometry
+//!   is per-precision and per-target ([`GemmElement`]): AVX-512 builds run
+//!   explicit FMA kernels on an 8-row tile, other builds a portable 6-row
+//!   body; `f32` runs a tile twice as wide as `f64` for the same register
+//!   budget, which is where its ~2× GEMM ceiling comes from.
 //! - **Parallelism**: column slabs of `E::NC` columns are independent jobs
 //!   dispatched through [`crate::par::par_jobs_with`]; when the shared
 //!   dimension dominates (`k` huge, `m·n` tiny — the conv weight-gradient
@@ -31,9 +39,7 @@
 //!
 //! Every job writes a disjoint region of `C` with a fixed internal loop
 //! order, and reductions happen in a deterministic order, so a given entry
-//! point is bitwise reproducible run-to-run on any machine. The `f64`
-//! instantiation performs the identical floating-point operation sequence
-//! as the pre-generic kernel.
+//! point is bitwise reproducible run-to-run within one build.
 
 use crate::element::GemmElement;
 use crate::par::par_jobs_with;
@@ -151,39 +157,47 @@ pub fn pack_a<E: GemmElement>(a: &[E], m: usize, k: usize, trans_a: bool) -> Pac
     pack_a_range(a, m, ars, acs, 0, k)
 }
 
-/// Packs columns `[j0, j0+jn)` of rows `[k0, k0+kc_len)` of `op(B)` into
-/// `NR`-column micro-panels (`bpack[np][kk*NR + nr]`), zero-padding the
-/// ragged last panel.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn pack_b_slab<E: GemmElement>(
-    b: &[E],
+/// A filler of packed `op(B)` micro-panels — the one seam between the
+/// blocked loop nest and where its right operand lives.
+///
+/// [`gemm_prepacked_with`] asks the source for one micro-panel at a time,
+/// right before the micro-kernel consumes it; implementations must be pure
+/// functions of their arguments (jobs call them concurrently and in any
+/// order).
+pub trait PanelSource<E: GemmElement>: Sync {
+    /// Writes rows `[k0, k0 + kc_len)` × columns `[j0, j0 + jn)` of `op(B)`
+    /// (`jn ≤ E::NR`) into one row-major micro-panel, `panel[kk * NR +
+    /// col]`, zero-padding the columns past `jn`.
+    fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, panel: &mut [E]);
+}
+
+/// A stored row-major `op(B)` with element strides, whose rows start at
+/// `koff` (split-k chunks read a row window of one matrix).
+struct MatrixPanels<'a, E> {
+    b: &'a [E],
     brs: usize,
     bcs: usize,
-    k0: usize,
-    kc_len: usize,
-    j0: usize,
-    jn: usize,
-    bpack: &mut [E],
-) {
-    let nr = E::NR;
-    let npanels = jn.div_ceil(nr);
-    for np in 0..npanels {
-        let jbase = j0 + np * nr;
-        let nvalid = nr.min(j0 + jn - jbase);
-        let panel = &mut bpack[np * kc_len * nr..(np + 1) * kc_len * nr];
-        if nvalid == nr && bcs == 1 {
+    koff: usize,
+}
+
+impl<E: GemmElement> PanelSource<E> for MatrixPanels<'_, E> {
+    #[inline]
+    fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, panel: &mut [E]) {
+        let (b, brs, bcs) = (self.b, self.brs, self.bcs);
+        let k0 = self.koff + k0;
+        let nr = E::NR;
+        let rows = panel[..kc_len * nr].chunks_exact_mut(nr).enumerate();
+        if jn == nr && bcs == 1 {
             // Contiguous row fragments: bulk-copy each k row.
-            for kk in 0..kc_len {
-                let src = (k0 + kk) * brs + jbase;
-                panel[kk * nr..kk * nr + nr].copy_from_slice(&b[src..src + nr]);
+            for (kk, row) in rows {
+                let src = (k0 + kk) * brs + j0;
+                row.copy_from_slice(&b[src..src + nr]);
             }
         } else {
-            for kk in 0..kc_len {
-                let row = &mut panel[kk * nr..kk * nr + nr];
+            for (kk, row) in rows {
                 for (col, slot) in row.iter_mut().enumerate() {
-                    *slot = if col < nvalid {
-                        b[(k0 + kk) * brs + (jbase + col) * bcs]
+                    *slot = if col < jn {
+                        b[(k0 + kk) * brs + (j0 + col) * bcs]
                     } else {
                         E::ZERO
                     };
@@ -194,50 +208,67 @@ fn pack_b_slab<E: GemmElement>(
 }
 
 /// Computes columns `[j0, j1)` of `C (m × n) {=, +=} op(A) · op(B)`
-/// sequentially, with `op(B)` rows offset by `koff` (split-k support).
+/// sequentially, `C[i, j]` living at `c[i * ldc + j]` and `op(B)` panels
+/// coming from `src`. With `bias`, the last k-block writes
+/// `bias[i] + (C[i, j] + partial)` — the same bits as adding the bias to
+/// the finished product in a second pass.
 ///
 /// # Safety
-/// `c` must be valid for `m * n` elements and no other thread may touch
-/// columns `[j0, j1)` concurrently.
+/// `c` must be valid for `(m - 1) * ldc + n` elements and no other thread
+/// may touch columns `[j0, j1)` concurrently.
 #[allow(clippy::too_many_arguments)]
-unsafe fn compute_cols<E: GemmElement>(
+unsafe fn compute_cols<E: GemmElement, S: PanelSource<E> + ?Sized>(
     pa: &PackedA<E>,
-    b: &[E],
-    brs: usize,
-    bcs: usize,
-    koff: usize,
+    src: &S,
     c: *mut E,
-    n: usize,
+    ldc: usize,
     j0: usize,
     j1: usize,
     accumulate: bool,
+    bias: Option<&[E]>,
     bpack: &mut Vec<E>,
 ) {
     let (mr_t, nr_t, kc_t) = (E::MR, E::NR, E::KC);
-    let jn = j1 - j0;
     let kblocks = pa.k.div_ceil(kc_t);
-    bpack.resize(kc_t * jn.div_ceil(nr_t) * nr_t, E::ZERO);
+    // One B micro-panel at a time: filled, then consumed by every A panel
+    // while it is still L1-resident.
+    bpack.resize(kc_t * nr_t, E::ZERO);
     let mut acc = vec![E::ZERO; mr_t * nr_t];
     for kb in 0..kblocks {
         let k0 = kb * kc_t;
         let kc_len = kc_t.min(pa.k - k0);
-        pack_b_slab(b, brs, bcs, koff + k0, kc_len, j0, jn, bpack);
         let first = kb == 0 && !accumulate;
-        for mp in 0..pa.mpanels {
-            let i0 = mp * mr_t;
-            let mvalid = mr_t.min(pa.m - i0);
-            let apanel = pa.panel(kb, mp, kc_len);
-            for np in 0..jn.div_ceil(nr_t) {
-                let jbase = j0 + np * nr_t;
-                let nvalid = nr_t.min(j1 - jbase);
-                E::microkernel(kc_len, apanel, &bpack[np * kc_len * nr_t..], &mut acc);
+        let last_bias = if kb + 1 == kblocks { bias } else { None };
+        for jbase in (j0..j1).step_by(nr_t) {
+            let nvalid = nr_t.min(j1 - jbase);
+            let bpanel = &mut bpack[..kc_len * nr_t];
+            src.fill(k0, kc_len, jbase, nvalid, bpanel);
+            for mp in 0..pa.mpanels {
+                let i0 = mp * mr_t;
+                let mvalid = mr_t.min(pa.m - i0);
+                E::microkernel(kc_len, pa.panel(kb, mp, kc_len), bpanel, &mut acc);
                 for mr in 0..mvalid {
-                    let row = c.add((i0 + mr) * n + jbase);
-                    for (col, &v) in acc[mr * nr_t..mr * nr_t + nvalid].iter().enumerate() {
-                        if first {
-                            *row.add(col) = v;
-                        } else {
-                            *row.add(col) += v;
+                    let row =
+                        std::slice::from_raw_parts_mut(c.add((i0 + mr) * ldc + jbase), nvalid);
+                    let part = &acc[mr * nr_t..mr * nr_t + nvalid];
+                    match (first, last_bias) {
+                        (true, None) => row.copy_from_slice(part),
+                        (true, Some(b)) => {
+                            let b = b[i0 + mr];
+                            for (d, &v) in row.iter_mut().zip(part) {
+                                *d = b + v;
+                            }
+                        }
+                        (false, None) => {
+                            for (d, &v) in row.iter_mut().zip(part) {
+                                *d += v;
+                            }
+                        }
+                        (false, Some(b)) => {
+                            let b = b[i0 + mr];
+                            for (d, &v) in row.iter_mut().zip(part) {
+                                *d = b + (*d + v);
+                            }
                         }
                     }
                 }
@@ -260,27 +291,72 @@ pub fn gemm_prepacked<E: GemmElement>(
     n: usize,
     accumulate: bool,
 ) {
-    let (m, k) = (pa.m, pa.k);
+    let k = pa.k;
     assert_eq!(b.len(), k * n, "B storage must hold k*n elements");
-    assert_eq!(c.len(), m * n, "C storage must hold m*n elements");
+    assert_eq!(c.len(), pa.m * n, "C storage must hold m*n elements");
+    let (brs, bcs) = op_strides(k, n, trans_b);
+    let src = MatrixPanels {
+        b,
+        brs,
+        bcs,
+        koff: 0,
+    };
+    gemm_prepacked_with(pa, &src, n, c, n, accumulate, None);
+}
+
+/// `C (m × n) {=, +=} op(A) · op(B)` with `op(A)` already packed and the
+/// `op(B)` panels filled by `src` — the implicit-GEMM entry point.
+///
+/// `C[i, j]` lives at `c[i * ldc + j]` (`ldc ≥ n`), so the product can land
+/// directly in a column window of a wider matrix. With `bias`, every row
+/// `i` finishes as `bias[i] + C[i, j]`, added after the whole sum (the
+/// same bits as a separate pass). Column slabs of `E::NC` columns run as
+/// parallel jobs; output is bitwise deterministic for any thread count and
+/// identical to [`gemm_prepacked`] on a matrix holding the same panels.
+pub fn gemm_prepacked_with<E: GemmElement, S: PanelSource<E> + ?Sized>(
+    pa: &PackedA<E>,
+    src: &S,
+    n: usize,
+    c: &mut [E],
+    ldc: usize,
+    accumulate: bool,
+    bias: Option<&[E]>,
+) {
+    let (m, k) = (pa.m, pa.k);
     if m == 0 || n == 0 {
         return;
     }
+    assert!(ldc >= n, "C row stride must cover n columns");
+    assert!(
+        c.len() >= (m - 1) * ldc + n,
+        "C storage must hold m rows of stride ldc"
+    );
+    if let Some(b) = bias {
+        assert_eq!(b.len(), m, "one bias per row of C");
+    }
     if k == 0 {
-        if !accumulate {
-            c.fill(E::ZERO);
+        for (i, row) in c.chunks_mut(ldc).take(m).enumerate() {
+            let row = &mut row[..n];
+            if !accumulate {
+                row.fill(E::ZERO);
+            }
+            if let Some(b) = bias {
+                for d in row {
+                    *d = b[i] + *d;
+                }
+            }
         }
         return;
     }
-    let (brs, bcs) = op_strides(k, n, trans_b);
     let jobs = n.div_ceil(E::NC);
     let cptr = SendPtr(c.as_mut_ptr());
     par_jobs_with(jobs, m * k, Vec::<E>::new, |bpack, job| {
         let j0 = job * E::NC;
         let j1 = (j0 + E::NC).min(n);
-        // SAFETY: job `job` exclusively owns columns [j0, j1) of C.
+        // SAFETY: job `job` exclusively owns columns [j0, j1) of C, and C
+        // holds m rows of stride ldc (asserted above).
         unsafe {
-            compute_cols(pa, b, brs, bcs, 0, cptr.get(), n, j0, j1, accumulate, bpack);
+            compute_cols(pa, src, cptr.get(), ldc, j0, j1, accumulate, bias, bpack);
         }
     });
 }
@@ -400,18 +476,22 @@ fn gemm_split_k<E: GemmElement>(
         let k1 = (k0 + chunk_len).min(k);
         let pa = pack_a_range(a, m, ars, acs, k0, k1);
         // SAFETY: chunk `s` exclusively owns partials[s*mn .. (s+1)*mn].
+        let src = MatrixPanels {
+            b,
+            brs,
+            bcs,
+            koff: k0,
+        };
         unsafe {
             compute_cols(
                 &pa,
-                b,
-                brs,
-                bcs,
-                k0,
+                &src,
                 pptr.get().add(s * mn),
                 n,
                 0,
                 n,
                 false,
+                None,
                 bpack,
             );
         }
@@ -566,6 +646,84 @@ mod tests {
                 check_case::<f32>(m, n, k, ta, tb, seed, 1e-4);
             }
         }
+    }
+
+    #[test]
+    fn row_and_column_edges_of_every_tile() {
+        // Row counts around both tile heights (6 and 8) and the U-Net's
+        // channel counts; column counts one below, at and one above
+        // multiples of each element's NR.
+        fn check<E: GemmElement>(tol: f64) {
+            let nr = E::NR;
+            for &m in &[1, 7, 8, 9, 16, 17, 33] {
+                for &n in &[nr - 1, nr, nr + 1, 2 * nr - 1, 2 * nr + 1, 3 * nr] {
+                    let seed = (m * 131 + n) as u64;
+                    check_case::<E>(m, n, 37, false, false, seed, tol);
+                    check_case::<E>(m, n, KC + 3, true, false, seed, tol);
+                }
+            }
+        }
+        check::<f64>(1e-11);
+        check::<f32>(1e-4);
+    }
+
+    /// A panel source that serves a stored matrix through the filler
+    /// interface, element by element.
+    struct Cells<'a, E>(&'a [E], usize);
+
+    impl<E: GemmElement> PanelSource<E> for Cells<'_, E> {
+        fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, panel: &mut [E]) {
+            let (b, n, nr) = (self.0, self.1, E::NR);
+            for kk in 0..kc_len {
+                for col in 0..nr {
+                    panel[kk * nr + col] = if col < jn {
+                        b[(k0 + kk) * n + j0 + col]
+                    } else {
+                        E::ZERO
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_source_with_stride_and_bias_matches_prepacked() {
+        fn check<E: GemmElement>() {
+            let mut rng = StdRng::seed_from_u64(17);
+            for &(m, n, k) in &[
+                (8, 300, 27),
+                (9, 45, 300),
+                (1, 5, 3),
+                (16, 3 * E::NC + 7, 40),
+            ] {
+                let a: Vec<E> = rand_vec(m * k, &mut rng);
+                let b: Vec<E> = rand_vec(k * n, &mut rng);
+                let bias: Vec<E> = rand_vec(m, &mut rng);
+                let pa = pack_a(&a, m, k, false);
+                let mut want = vec![E::ZERO; m * n];
+                gemm_prepacked(&pa, &b, false, &mut want, n, false);
+                let ldc = n + 5;
+                let mut got = vec![E::ONE; m * ldc];
+                gemm_prepacked_with(&pa, &Cells(&b, n), n, &mut got, ldc, false, Some(&bias));
+                for i in 0..m {
+                    for j in 0..ldc {
+                        let want = if j < n {
+                            bias[i] + want[i * n + j]
+                        } else {
+                            E::ONE
+                        };
+                        assert_eq!(
+                            got[i * ldc + j].bits(),
+                            want.bits(),
+                            "{} {m}x{n}x{k} [{i}, {j}]",
+                            E::NAME
+                        );
+                    }
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]
